@@ -940,7 +940,7 @@ let lattice_run json kmax sym jobs input =
            two surfaces, no drift *)
         print_string
           (Mo_obs.Jsonb.to_string_pretty
-             (Mo_service.Codec.lattice_payload ~kmax pred));
+             (Mo_service.Codec.lattice_payload ~kmax ~sym pred));
         0
       end
       else begin

@@ -1,62 +1,89 @@
-let available = Domain_shim.available
-let recommended_jobs () = Domain_shim.recommended_jobs ()
+let available = true
+let recommended_jobs () = Domain.recommended_domain_count ()
 
 let default_jobs () =
   match Option.bind (Sys.getenv_opt "MO_JOBS") int_of_string_opt with
   | Some j when j >= 1 -> j
-  | Some _ | None -> if available then Domain_shim.recommended_jobs () else 1
-
-module Lock = Domain_shim.Lock
-module Workers = Domain_shim.Workers
+  | Some _ | None -> recommended_jobs ()
 
 let rng ~seed ~stream =
   (* distinct constants keep (seed, stream) pairs from aliasing
      (seed+1, stream-1); SplitMix-style odd multipliers *)
   Random.State.make [| 0x6d6f5061; seed; stream * 0x9e3779b9; stream |]
 
-(* A fixed-backlog work-stealing deque: chunk ids are dealt out at
-   creation, the owner pops from the bottom, thieves take from the top.
-   Nothing is ever pushed after start, so "empty" is permanent and
-   termination is a single sweep over all deques. A spinlock (one atomic
-   per deque) is plenty at chunk granularity — claims are rare and
-   microseconds apart; the atomic also provides the happens-before edge
-   for the plain [top]/[bottom] fields under the OCaml 5 memory model. *)
-module Deque = struct
+module Workers = struct
   type t = {
-    chunks : int array;
-    mutable top : int; (* next index thieves take *)
-    mutable bottom : int; (* one past the owner's end *)
-    busy : bool Atomic.t;
+    queue : (unit -> unit) Queue.t;
+    m : Mutex.t;
+    nonempty : Condition.t;
+    mutable closing : bool;
+    mutable handles : unit Domain.t list;
   }
 
-  let make chunks =
-    { chunks; top = 0; bottom = Array.length chunks; busy = Atomic.make false }
+  (* classic bounded-worker loop: wait while the queue is empty and the
+     pool is open; run everything still queued before honoring a close,
+     so shutdown drains rather than drops *)
+  let worker t () =
+    let rec next () =
+      Mutex.lock t.m;
+      while Queue.is_empty t.queue && not t.closing do
+        Condition.wait t.nonempty t.m
+      done;
+      let task = Queue.take_opt t.queue in
+      Mutex.unlock t.m;
+      match task with
+      | None -> ()
+      | Some task ->
+          (try task () with _ -> ());
+          next ()
+    in
+    next ()
 
-  let locked d f =
-    while not (Atomic.compare_and_set d.busy false true) do
-      Domain_shim.cpu_relax ()
-    done;
-    let r = f d in
-    Atomic.set d.busy false;
-    r
+  let make () =
+    {
+      queue = Queue.create ();
+      m = Mutex.create ();
+      nonempty = Condition.create ();
+      closing = false;
+      handles = [];
+    }
 
-  let pop d =
-    locked d (fun d ->
-        if d.top < d.bottom then begin
-          d.bottom <- d.bottom - 1;
-          Some d.chunks.(d.bottom)
-        end
-        else None)
+  (* spawn workers until there are [n]; a pool never shrinks *)
+  let grow t n =
+    Mutex.protect t.m (fun () ->
+        for _ = List.length t.handles + 1 to n do
+          t.handles <- Domain.spawn (worker t) :: t.handles
+        done)
 
-  let steal d =
-    locked d (fun d ->
-        if d.top < d.bottom then begin
-          let c = d.chunks.(d.top) in
-          d.top <- d.top + 1;
-          Some c
-        end
-        else None)
+  let create ~jobs =
+    if jobs < 1 then invalid_arg "Workers.create: jobs must be >= 1";
+    let t = make () in
+    grow t jobs;
+    t
+
+  let jobs t = Mutex.protect t.m (fun () -> List.length t.handles)
+
+  let submit t task =
+    Mutex.protect t.m (fun () ->
+        if t.closing then invalid_arg "Workers.submit: pool is shut down";
+        Queue.push task t.queue;
+        Condition.signal t.nonempty)
+
+  let shutdown t =
+    let fresh =
+      Mutex.protect t.m (fun () ->
+          let fresh = not t.closing in
+          t.closing <- true;
+          Condition.broadcast t.nonempty;
+          fresh)
+    in
+    if fresh then List.iter Domain.join t.handles
 end
+
+(* The helper domains behind every [Pool]: one set per process, grown on
+   demand to the largest [jobs - 1] a map has needed, never shut down.
+   Idle helpers sleep on the queue's condition variable. *)
+let shared = Workers.make ()
 
 module Pool = struct
   type t = { jobs : int }
@@ -64,11 +91,10 @@ module Pool = struct
   let create ?jobs () =
     let j = match jobs with Some j -> j | None -> default_jobs () in
     if j < 1 then invalid_arg "Mo_par.Pool.create: jobs must be >= 1";
-    { jobs = (if available then j else 1) }
+    { jobs = j }
 
   let jobs t = t.jobs
-
-  let chunk_bounds ~n ~chunk c = (c * chunk, min n ((c + 1) * chunk) - 1)
+  let helpers () = Workers.jobs shared
 
   let map t ?chunk n ~f =
     if n < 0 then invalid_arg "Par.Pool.map: negative size";
@@ -84,49 +110,41 @@ module Pool = struct
     else begin
       let nchunks = (n + chunk - 1) / chunk in
       let results = Array.make n None in
-      (* block-deal the chunks: worker w owns a contiguous range, so its
-         own pops walk the index space in order and stealing only kicks
-         in when a neighbour's range was cheaper than predicted *)
-      let deques =
-        Array.init jobs (fun w ->
-            let lo = w * nchunks / jobs and hi = (w + 1) * nchunks / jobs in
-            (* owner pops from the bottom: store the range reversed so its
-               first pop is its lowest chunk id *)
-            Deque.make (Array.init (hi - lo) (fun i -> hi - 1 - i)))
-      in
+      let next = Atomic.make 0 and finished = Atomic.make 0 in
       let failure = Atomic.make None in
-      let worker w () =
-        (* try self first (pop), then the other deques round-robin (steal);
-           nothing is ever re-enqueued, so a full empty sweep terminates *)
-        let rec claim k =
-          if k = jobs then None
-          else
-            let v = (w + k) mod jobs in
-            match
-              if v = w then Deque.pop deques.(v) else Deque.steal deques.(v)
-            with
-            | Some c -> Some c
-            | None -> claim (k + 1)
-        in
-        let rec loop () =
-          if Atomic.get failure <> None then ()
-          else match claim 0 with None -> () | Some c -> run c
-        and run c =
-          let lo, hi = chunk_bounds ~n ~chunk c in
-          (try
-             for i = lo to hi do
-               results.(i) <- Some (f i)
-             done
-           with e -> ignore (Atomic.compare_and_set failure None (Some e)));
-          loop ()
-        in
-        loop ()
+      let m = Mutex.create () and all_done = Condition.create () in
+      (* the caller and every helper claim chunks off one counter until
+         none are left. Completion counts finished chunks, not finished
+         helpers: a helper that wakes after the last claim finds nothing
+         and returns, and nobody waits for it. After a failure the
+         remaining chunks are claimed and skipped, so the count still
+         completes. *)
+      let drain () =
+        let c = ref (Atomic.fetch_and_add next 1) in
+        while !c < nchunks do
+          (if Atomic.get failure = None then
+             try
+               for i = !c * chunk to min n ((!c + 1) * chunk) - 1 do
+                 results.(i) <- Some (f i)
+               done
+             with e -> ignore (Atomic.compare_and_set failure None (Some e)));
+          if Atomic.fetch_and_add finished 1 = nchunks - 1 then
+            Mutex.protect m (fun () -> Condition.broadcast all_done);
+          c := Atomic.fetch_and_add next 1
+        done
       in
-      let handles =
-        List.init (jobs - 1) (fun k -> Domain_shim.spawn (worker (k + 1)))
-      in
-      worker 0 ();
-      List.iter Domain_shim.join handles;
+      let extra = min (jobs - 1) (nchunks - 1) in
+      Workers.grow shared extra;
+      for _ = 1 to extra do
+        Workers.submit shared drain
+      done;
+      drain ();
+      (* only chunks another domain is running can be left *)
+      if Atomic.get finished < nchunks then
+        Mutex.protect m (fun () ->
+            while Atomic.get finished < nchunks do
+              Condition.wait all_done m
+            done);
       (match Atomic.get failure with Some e -> raise e | None -> ());
       Array.map (function Some v -> v | None -> assert false) results
     end

@@ -1,12 +1,14 @@
 (** Parallel execution over OCaml 5 domains, with deterministic results.
 
-    The engine behind the exhaustive explorers, the fault-matrix suite and
-    the bench sweeps. Work is split into contiguous {e chunks} of an index
-    range; each worker owns a deque of chunks and steals from the others
-    when its own runs dry. Results are keyed by item index and merged in
-    index order, so the outcome is a pure function of [(n, f)] — which
-    domain computed which chunk is invisible. On OCaml 4.14 (no domains)
-    the pool runs the same chunk schedule inline; [jobs] is forced to 1.
+    The engine behind the exhaustive explorers, the fault-matrix suite,
+    the mopcd engine and the bench sweeps. Every {!Pool} shares one
+    process-wide set of long-lived helper domains, created lazily and
+    grown on demand to the largest [jobs - 1] any map has needed; idle
+    helpers sleep on a condition variable. A map cuts its index range
+    into contiguous {e chunks}; the caller and up to [jobs - 1] helpers
+    claim chunks off one atomic counter. Results are keyed by item index
+    and merged in index order, so the outcome is a pure function of
+    [(n, f)] — which domain computed which chunk is invisible.
 
     Determinism contract: for any [f] free of shared mutable state,
     [map pool n ~f] and [fold pool n ~f ~merge ~init] return the same
@@ -14,40 +16,29 @@
     lets `--jobs N` change wall-clock time and nothing else. *)
 
 val available : bool
-(** Whether real domains back the pool (OCaml >= 5.0). *)
+(** Always [true]: real domains back the pool. Kept so the bench
+    artifacts' ["domains"] key stays stable. *)
 
 val recommended_jobs : unit -> int
-(** [Domain.recommended_domain_count ()] — the host's usable core count
-    (1 on OCaml 4.14). Recorded by the bench artifacts so the regression
-    gate knows whether two timing runs are comparable. *)
+(** [Domain.recommended_domain_count ()] — the host's usable core count.
+    Recorded by the bench artifacts so the regression gate knows whether
+    two timing runs are comparable. *)
 
 val default_jobs : unit -> int
 (** The [MO_JOBS] environment variable when set to a positive integer,
-    otherwise {!recommended_jobs} (1 on OCaml 4.14). *)
+    otherwise {!recommended_jobs}. *)
 
 val rng : seed:int -> stream:int -> Random.State.t
 (** An independent PRNG stream: deterministic in [(seed, stream)] and
     decorrelated across streams. Shard work by stream id — never share
     one [Random.State] between domains. *)
 
-(** A mutual-exclusion lock: a real mutex when domains are available, a
-    no-op token on OCaml 4.14 (one thread of control — exclusion is
-    vacuous). The striped service cache guards each stripe with one. *)
-module Lock : sig
-  type t
-
-  val create : unit -> t
-
-  val with_lock : t -> (unit -> 'a) -> 'a
-  (** Runs the thunk holding the lock; always releases, even on raise. *)
-end
-
 (** A persistent dispatch pool: [jobs] long-lived worker domains
     draining one FIFO task queue — the engine behind the mopcd accept
     loop, where tasks are whole connections rather than index ranges
     (use {!Pool} for data-parallel maps with deterministic merges; use
-    this for long-running independent tasks). On OCaml 4.14 [submit]
-    runs the task inline before returning — the jobs=1 schedule. *)
+    this for long-running independent tasks). {!Pool}'s shared helpers
+    are one of these. *)
 module Workers : sig
   type t
 
@@ -56,7 +47,6 @@ module Workers : sig
       @raise Invalid_argument if [jobs < 1]. *)
 
   val jobs : t -> int
-  (** 1 when domains are unavailable. *)
 
   val submit : t -> (unit -> unit) -> unit
   (** Enqueue a task; any idle worker picks it up in FIFO order.
@@ -74,18 +64,28 @@ module Pool : sig
   type t
 
   val create : ?jobs:int -> unit -> t
-  (** [jobs] defaults to {!default_jobs}; forced to 1 when domains are
-      unavailable. @raise Invalid_argument if [jobs < 1]. *)
+  (** [jobs] defaults to {!default_jobs}. Creating a pool spawns
+      nothing; it only bounds how many domains a map may use.
+      @raise Invalid_argument if [jobs < 1]. *)
 
   val jobs : t -> int
 
+  val helpers : unit -> int
+  (** The helper domains alive in the process, shared by every pool:
+      the largest [jobs - 1] (capped by the chunk count) that any map
+      has used so far. *)
+
   val map : t -> ?chunk:int -> int -> f:(int -> 'a) -> 'a array
-  (** [map t n ~f] is [[| f 0; …; f (n-1) |]], computed by up to [jobs]
-      domains over chunks of [chunk] consecutive indices (default: an
-      8-chunks-per-worker split). [f] runs off the main domain: it must
-      not touch shared mutable state, raise to communicate, or call back
-      into the pool. The first exception raised by any [f] is re-raised
-      in the caller after all workers join. *)
+  (** [map t n ~f] is [[| f 0; …; f (n-1) |]], computed over chunks of
+      [chunk] consecutive indices (default: an 8-chunks-per-job split).
+      The caller claims chunks itself alongside up to [jobs - 1] shared
+      helpers, and returns as soon as every chunk is finished — it never
+      waits for a helper that has not woken yet. [f] may run off the
+      caller's domain: it must not touch shared mutable state or raise
+      to communicate. Several domains may map over one pool at once.
+      The first exception raised by any [f] skips the chunks not yet
+      started and is re-raised in the caller once the running ones
+      finish; the pool stays usable. *)
 
   val fold :
     t ->

@@ -16,7 +16,7 @@ type 'a node = {
 }
 
 type 'a stripe = {
-  lock : Mo_par.Lock.t;
+  lock : Mutex.t;
   s_cap : int;
   tbl : (string, 'a node) Hashtbl.t;
   mutable head : 'a node option; (* most recently used *)
@@ -64,7 +64,7 @@ let create ~capacity ?(stripes = 1) ?registry ?clock () =
        remainder so the total is exact *)
     let s_cap = (capacity / stripes) + (if i < capacity mod stripes then 1 else 0) in
     {
-      lock = Mo_par.Lock.create ();
+      lock = Mutex.create ();
       s_cap;
       tbl = Hashtbl.create (max 16 s_cap);
       head = None;
@@ -126,7 +126,7 @@ let find t key =
   let s = stripe_of t key in
   let now = t.clock () in
   let hit =
-    Mo_par.Lock.with_lock s.lock (fun () ->
+    Mutex.protect s.lock (fun () ->
         match Hashtbl.find_opt s.tbl key with
         | Some n ->
             s.s_hits <- s.s_hits + 1;
@@ -180,7 +180,7 @@ let put t key value =
     let s = stripe_of t key in
     let now = t.clock () in
     let inserted, evicted =
-      Mo_par.Lock.with_lock s.lock (fun () -> insert s key value ~now)
+      Mutex.protect s.lock (fun () -> insert s key value ~now)
     in
     apply_deltas t ~inserted ~evicted
   end
@@ -194,7 +194,7 @@ let restore t entries =
       (fun (key, value) ->
         let s = stripe_of t key in
         let inserted, evicted =
-          Mo_par.Lock.with_lock s.lock (fun () -> insert s key value ~now)
+          Mutex.protect s.lock (fun () -> insert s key value ~now)
         in
         apply_deltas t ~inserted ~evicted;
         incr n)
@@ -208,7 +208,7 @@ let snapshot t =
      through [restore] (which pushes to the front) reproduces each
      stripe's recency order exactly *)
   let stripe_entries s =
-    Mo_par.Lock.with_lock s.lock (fun () ->
+    Mutex.protect s.lock (fun () ->
         let rec walk acc = function
           | None -> acc
           | Some n -> walk ((n.key, n.value) :: acc) n.next
@@ -222,7 +222,7 @@ let stripe_stats t =
   let now = t.clock () in
   Array.map
     (fun s ->
-      Mo_par.Lock.with_lock s.lock (fun () ->
+      Mutex.protect s.lock (fun () ->
           (* the recency list is stamp-sorted (every touch both fronts
              the node and refreshes its stamp), so ages come out sorted
              head -> tail: min is the head, max the tail, and the median

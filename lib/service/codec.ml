@@ -307,16 +307,17 @@ let monitor_payload ?window pred ~trace =
                       ] );
             ])
 
-let lattice_payload ?(kmax = 3) pred =
+let lattice_payload ?(kmax = 3) ?(sym = true) pred =
   if kmax < 1 then raise (Bad_request "kmax must be >= 1");
   let canonical = Canon.predicate pred in
   (* an inline jobs=1 pool: lattice placements already run inside the
-     engine's worker pool, and membership over the standard universe is
-     fast enough sequentially (the cache amortizes repeats anyway) *)
+     engine's pool. The symmetry-quotiented walk is ~25x faster than the
+     concrete one and gives a byte-identical placement (test_sym pins
+     the two payloads against each other). *)
   let pl =
     Modelcheck.placement
       ~pool:(Mo_par.Pool.create ~jobs:1 ())
-      ~kmax ~sizes:Modelcheck.universe_sizes canonical
+      ~kmax ~sym ~sizes:Modelcheck.universe_sizes canonical
   in
   let names ms =
     J.List

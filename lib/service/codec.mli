@@ -87,12 +87,16 @@ val monitor_payload :
     variable order. @raise Bad_request on a malformed trace or an
     exhausted window. *)
 
-val lattice_payload : ?kmax:int -> Mo_core.Forbidden.t -> Mo_obs.Jsonb.t
+val lattice_payload :
+  ?kmax:int -> ?sym:bool -> Mo_core.Forbidden.t -> Mo_obs.Jsonb.t
 (** Canonical predicate, digest, [kmax], universe size, [|X_B|], one
     row per lattice point ([members], [intersection], and the two
     empirical inclusions), plus the [sufficient] (maximal models inside
     [X_B]) and [guarantees] (minimal models containing it) summaries.
-    [kmax] (default 3) bounds the k-synchronous sweep. Rendered from
+    [kmax] (default 3) bounds the k-synchronous sweep. [sym] (default
+    [true]) walks the universe up to process and message renaming
+    ({!Mo_core.Modelcheck.placement}[ ~sym]); [false] walks every
+    concrete run — same payload, byte for byte. Rendered from
     the canonical form, so alpha-equivalent inputs produce
     byte-identical payloads — the cache invariant of
     {!classify_payload}. @raise Bad_request when [kmax < 1]. *)

@@ -88,28 +88,28 @@ let remove_stale_socket path =
    reused descriptor. *)
 module Registry = struct
   type t = {
-    lock : Mo_par.Lock.t;
+    lock : Mutex.t;
     tbl : (int, Unix.file_descr) Hashtbl.t;
     mutable next : int;
   }
 
   let create () =
-    { lock = Mo_par.Lock.create (); tbl = Hashtbl.create 16; next = 0 }
+    { lock = Mutex.create (); tbl = Hashtbl.create 16; next = 0 }
 
   let add t fd =
-    Mo_par.Lock.with_lock t.lock (fun () ->
+    Mutex.protect t.lock (fun () ->
         let id = t.next in
         t.next <- id + 1;
         Hashtbl.replace t.tbl id fd;
         id)
 
   let close t id fd =
-    Mo_par.Lock.with_lock t.lock (fun () ->
+    Mutex.protect t.lock (fun () ->
         Hashtbl.remove t.tbl id;
         try Unix.close fd with Unix.Unix_error _ -> ())
 
   let shutdown_all t =
-    Mo_par.Lock.with_lock t.lock (fun () ->
+    Mutex.protect t.lock (fun () ->
         Hashtbl.iter
           (fun _ fd ->
             try Unix.shutdown fd Unix.SHUTDOWN_ALL

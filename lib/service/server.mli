@@ -5,9 +5,7 @@
     Each accepted connection is handed whole to a {!Mo_par.Workers}
     dispatch pool — one long-lived worker domain owns it from first
     frame to close, so [jobs] connections make independent progress and
-    a slow client no longer holds the daemon. On OCaml 4.14 (no
-    domains) the pool degrades to serving each connection inline on the
-    accept loop — exactly the old single-dispatch behaviour.
+    a slow client no longer holds the daemon.
 
     Safety of concurrent dispatch: the decision cache is striped (per
     digest), counters are atomic, and every compute is pure, so

@@ -4,7 +4,7 @@
    fault matrix, metrics aggregation) agree with their sequential
    references. These tests pin that contract, so they are meaningful even
    on a single-core host — on a multicore one they additionally exercise
-   real work stealing. *)
+   the shared helpers claiming chunks concurrently. *)
 
 open Mo_core
 open Mo_protocol
@@ -64,16 +64,121 @@ let test_pool_errors () =
     (Invalid_argument "Mo_par.Pool.create: jobs must be >= 1") (fun () ->
       ignore (Mo_par.Pool.create ~jobs:0 ()));
   (* a worker exception aborts the whole map and is re-raised in the
-     caller, at every job count *)
+     caller, at every job count; the shared helpers survive it, so the
+     next map on the same pool is the identity schedule again *)
   List.iter
     (fun jobs ->
-      match
-        Mo_par.Pool.map (pool_of jobs) 20 ~f:(fun i ->
-            if i = 13 then failwith "boom" else i)
-      with
-      | _ -> Alcotest.fail "expected the worker failure to propagate"
-      | exception Failure m -> check_string "propagated failure" "boom" m)
+      let pool = pool_of jobs in
+      for round = 1 to 3 do
+        (match
+           Mo_par.Pool.map pool ~chunk:1 40 ~f:(fun i ->
+               if i mod 5 = round then failwith "boom" else i)
+         with
+        | _ -> Alcotest.fail "expected the worker failure to propagate"
+        | exception Failure m -> check_string "propagated failure" "boom" m);
+        Alcotest.(check (array int))
+          (Printf.sprintf "map after a failure at %d jobs" jobs)
+          (Array.init 40 Fun.id)
+          (Mo_par.Pool.map pool 40 ~f:Fun.id)
+      done)
     job_counts
+
+let test_pool_concurrent_callers () =
+  (* several domains mapping and folding over one shared pool at once
+     get exactly what a lone caller gets *)
+  let n = 211 in
+  let f i = Printf.sprintf "<%d>" (i * 7) in
+  let expected = String.concat "" (List.init n f) in
+  List.iter
+    (fun jobs ->
+      let pool = pool_of jobs in
+      let rounds () =
+        List.init 12 (fun r ->
+            if r mod 2 = 0 then
+              String.concat "" (Array.to_list (Mo_par.Pool.map pool n ~f))
+            else
+              Mo_par.Pool.fold pool ~chunk:r n ~f ~merge:( ^ ) ~init:"")
+      in
+      let callers = List.init 3 (fun _ -> Domain.spawn rounds) in
+      let mine = rounds () in
+      List.iteri
+        (fun c got ->
+          List.iter
+            (check_string
+               (Printf.sprintf "caller %d at %d jobs" c jobs)
+               expected)
+            got)
+        (mine :: List.map Domain.join callers))
+    job_counts
+
+let test_pool_many_pools () =
+  (* pools are cheap handles over one helper set: 500 of them map fine,
+     and the helpers never outnumber the largest jobs - 1 asked for *)
+  for k = 0 to 499 do
+    let pool = pool_of (1 + (k mod 7)) in
+    Alcotest.(check (array int))
+      (Printf.sprintf "pool %d" k)
+      (Array.init 16 (fun i -> i + k))
+      (Mo_par.Pool.map pool 16 ~f:(fun i -> i + k))
+  done;
+  let largest = max 7 (Mo_par.default_jobs ()) in
+  check_bool
+    (Printf.sprintf "%d helpers <= %d" (Mo_par.Pool.helpers ()) (largest - 1))
+    true
+    (Mo_par.Pool.helpers () <= largest - 1)
+
+(* a one-shot gate domains can block on without spinning *)
+let gate () = (Mutex.create (), Condition.create (), ref false)
+
+let gate_wait (m, c, opened) =
+  Mutex.protect m (fun () ->
+      while not !opened do
+        Condition.wait c m
+      done)
+
+let gate_open (m, c, opened) =
+  Mutex.protect m (fun () ->
+      opened := true;
+      Condition.broadcast c)
+
+let test_pool_no_wait_for_sleeping_helper () =
+  (* park every shared helper inside a blocked map, then map 4 items at
+     jobs 2 on another domain: its helper task can only sit in the
+     queue, so the caller must run all four chunks itself and return
+     without that helper ever waking *)
+  ignore (Mo_par.Pool.map (pool_of 2) 2 ~f:Fun.id);
+  let h = Mo_par.Pool.helpers () in
+  let parked = Atomic.make 0 and release = gate () in
+  let blocker =
+    Domain.spawn (fun () ->
+        Mo_par.Pool.map (pool_of (h + 1)) ~chunk:1 (h + 1) ~f:(fun i ->
+            Atomic.incr parked;
+            gate_wait release;
+            i))
+  in
+  while Atomic.get parked < h + 1 do
+    Unix.sleepf 0.001
+  done;
+  let finished = Atomic.make false in
+  let probe =
+    Domain.spawn (fun () ->
+        let r = Mo_par.Pool.map (pool_of 2) 4 ~f:(fun i -> 10 * i) in
+        Atomic.set finished true;
+        r)
+  in
+  let deadline = Unix.gettimeofday () +. 10. in
+  while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  let returned_while_parked = Atomic.get finished in
+  gate_open release;
+  Alcotest.(check (array int))
+    "probe result" [| 0; 10; 20; 30 |] (Domain.join probe);
+  Alcotest.(check (array int))
+    "blocked map result" (Array.init (h + 1) Fun.id) (Domain.join blocker);
+  check_bool "4-item map returned while every helper was parked" true
+    returned_while_parked;
+  check_int "no helper was added" h (Mo_par.Pool.helpers ())
 
 let test_seeded_streams () =
   (* per-stream PRNGs: distinct streams differ, same stream reproduces *)
@@ -413,6 +518,12 @@ let () =
           Alcotest.test_case "fold merges in index order" `Quick
             test_pool_fold_identity;
           Alcotest.test_case "errors propagate" `Quick test_pool_errors;
+          Alcotest.test_case "concurrent callers on one pool" `Quick
+            test_pool_concurrent_callers;
+          Alcotest.test_case "500 pools share bounded helpers" `Quick
+            test_pool_many_pools;
+          Alcotest.test_case "never waits for a sleeping helper" `Quick
+            test_pool_no_wait_for_sleeping_helper;
           Alcotest.test_case "seeded per-stream rngs" `Quick
             test_seeded_streams;
         ] );

@@ -185,8 +185,7 @@ let test_cache_striping () =
 (* concurrent workers on distinct digests, binned so each worker's keys
    live on its own stripe: per-stripe counters come out exact — the
    evidence that distinct-digest traffic never serializes (or leaks)
-   across stripes. Deterministic for any job count, including the 4.14
-   inline fallback. *)
+   across stripes. Deterministic for any job count. *)
 let test_cache_striping_concurrent () =
   let nstripes = 4 and keys_per = 8 and rounds = 10 in
   let reg = Mo_obs.Metrics.create () in

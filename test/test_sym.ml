@@ -11,9 +11,14 @@
      exhaustively over the standard tier;
    - Modelcheck verify / count / placement produce byte-identical
      verdicts with --sym on and off, at jobs 1/2/4/7;
+   - mopcd's lattice payload (quotiented) is byte-identical to the one
+     rendered from the concrete walk, for every catalog predicate and
+     seeded random predicates;
    - MO_SYM_DEEP=1 (nightly) extends the verify differential to the
-     940,304-run deep tier and pins the 77,830,564-run vast tier's
-     orbit-expanded cardinalities. *)
+     940,304-run deep tier, pins the 77,830,564-run vast tier's
+     orbit-expanded cardinalities, and widens the lattice payload
+     differential to every catalog predicate and 200 random ones at
+     kmax 1-4. *)
 
 open Mo_core
 open Mo_order
@@ -227,6 +232,56 @@ let test_jobs_identity () =
         p1 p)
     [ 2; 4; 7 ]
 
+(* ---- the mopcd lattice op ----------------------------------------- *)
+
+(* seeded random predicates of every generator shape: plain, guarded,
+   and single-cycle *)
+let random_pred seed =
+  match seed mod 3 with
+  | 0 -> Mo_workload.Random_pred.predicate ~seed ()
+  | 1 -> Mo_workload.Random_pred.guarded_predicate ~seed ()
+  | _ -> Mo_workload.Random_pred.cyclic_predicate ~nvars:(2 + (seed mod 4)) ~seed
+
+(* the service's lattice payload walks the quotient; it must render
+   byte for byte what the concrete walk renders. A concrete walk costs
+   ~0.3-0.5 s, so tier-1 takes every catalog predicate at the service's
+   default kmax 3 and 4 random predicates at kmax 1-4; the nightly arm
+   takes every catalog predicate and 200 random ones at kmax 1-4. The
+   cases are spread over the pool. *)
+let test_lattice_payload_equal () =
+  let catalog =
+    List.map (fun (e : Catalog.entry) -> (e.Catalog.name, e.Catalog.pred))
+      Catalog.all
+  and random n =
+    List.init n (fun seed ->
+        (Printf.sprintf "random seed %d" seed, random_pred seed))
+  in
+  let at kmaxes preds =
+    List.concat_map (fun (name, p) -> List.map (fun k -> (name, p, k)) kmaxes)
+      preds
+  in
+  let cases =
+    Array.of_list
+      (if deep then at [ 1; 2; 3; 4 ] (catalog @ random 200)
+       else at [ 3 ] catalog @ at [ 1; 2; 3; 4 ] (random 4))
+  in
+  let payloads =
+    Mo_par.Pool.map (Mo_par.Pool.create ()) ~chunk:1 (Array.length cases)
+      ~f:(fun i ->
+        let _, p, kmax = cases.(i) in
+        let render sym =
+          Mo_obs.Jsonb.to_string (Mo_service.Codec.lattice_payload ~kmax ~sym p)
+        in
+        (render true, render false))
+  in
+  Array.iteri
+    (fun i (quotiented, concrete) ->
+      let name, _, kmax = cases.(i) in
+      check_string
+        (Printf.sprintf "lattice payload %s kmax %d: byte-identical" name kmax)
+        concrete quotiented)
+    payloads
+
 (* ---- the nightly deep arm ----------------------------------------- *)
 
 let test_deep () =
@@ -275,6 +330,8 @@ let () =
             test_modelcheck_equal;
           Alcotest.test_case "jobs 1/2/4/7 byte-identity" `Quick
             test_jobs_identity;
+          Alcotest.test_case "lattice payload = concrete walk" `Slow
+            test_lattice_payload_equal;
           Alcotest.test_case "deep + vast tiers (MO_SYM_DEEP)" `Slow test_deep;
         ] );
     ]
