@@ -237,13 +237,14 @@ let fold_abstracts_par ~pool ?allow_self ~nprocs ~nmsgs ~init ~f ~merge () =
    guards are src/dst equality tests, lattice membership and the
    causal/sync limits are purely structural), so the model checker only
    needs one representative per renaming orbit, weighted by the orbit's
-   size. Orbit sizes come out of orbit-stabilizer (|orbit| =
-   nprocs!/|Stab|); here we obtain them by direct counting while
-   canonicalizing, which is the same number without needing the
-   stabilizer explicitly. [configs_sym] additionally identifies configs
-   that differ only in message *order*: relabeling messages maps runs to
-   runs bijectively and no predicate can observe the labels (quantifiers
-   range over message tuples, attrs travel with the relabeling).
+   size. [configs_sym] also identifies configs that differ only in
+   message *order*: relabeling messages maps runs to runs bijectively
+   and no predicate can observe the labels (quantifiers range over
+   message tuples, attrs travel with the relabeling). Orbit sizes come
+   out of orbit-stabilizer (|orbit| = nprocs!/|Stab|); here we obtain
+   them by walking each orbit once and summing the ordered-config counts
+   of its distinct members, which is the same number without needing
+   the stabilizer explicitly.
 
    Within a configuration — messages with identical (src, dst) are
    interchangeable: permuting them inside their class maps runs to runs
@@ -252,11 +253,6 @@ let fold_abstracts_par ~pool ?allow_self ~nprocs ~nmsgs ~init ~f ~merge () =
    so each orbit has exactly [sym_mult] runs and exactly one canonical
    representative: the run in which each class's send events appear in
    message-index order in the sender's sequence. *)
-
-let proc_perms nprocs =
-  List.map Array.of_list (permutations (List.init nprocs Fun.id))
-
-let rename_config pi msgs = Array.map (fun (s, d) -> (pi.(s), pi.(d))) msgs
 
 let sym_mult ~msgs =
   (* ∏ over interchangeability classes of |class|!, computed as: the c-th
@@ -272,97 +268,99 @@ let sym_mult ~msgs =
   done;
   !mult
 
-(* Group a (config, weight) stream by canonical key, preserving
-   first-seen order so enumeration order is deterministic. *)
-let group_by_canon canon stream =
-  let counts = Hashtbl.create 97 in
-  let order = ref [] in
-  List.iter
-    (fun (msgs, w) ->
-      let key = canon msgs in
-      match Hashtbl.find_opt counts key with
-      | None ->
-          Hashtbl.add counts key w;
-          order := key :: !order
-      | Some n -> Hashtbl.replace counts key (n + w))
-    stream;
-  List.rev_map (fun key -> (key, Hashtbl.find counts key)) !order
+module Int_set = Hashtbl.Make (Int)
 
-let configs_quotient ?allow_self ~nprocs ~nmsgs () =
-  (* quotient by process renaming only; representative = lex-least
-     renamed config, multiplicity = orbit size among ordered configs *)
-  let perms = proc_perms nprocs in
-  let canon msgs =
-    List.fold_left
-      (fun best pi ->
-        let c = rename_config pi msgs in
-        match best with Some b when compare b c <= 0 -> best | _ -> Some c)
-      None perms
-    |> Option.get
+(* The orbit walk. An endpoint (s, d) is coded s * nprocs + d, so int
+   order is tuple order; a sorted config packs into one int, most
+   significant code first, so int order is lexicographic [compare].
+   Sorted configs (non-decreasing codes) are walked in lexicographic
+   order, and the first one not yet seen opens its orbit: every renaming
+   is applied through a precomputed code table, the renamed codes are
+   re-sorted and packed, and each distinct member is marked seen and
+   adds the ordered configs it stands for, nmsgs!/∏(run lengths!). The
+   representative is the least member. Work is orbits × nprocs!, and
+   the only state kept across orbits is the seen set. *)
+let configs_sym ?(allow_self = false) ~nprocs ~nmsgs () =
+  let base = nprocs * nprocs in
+  let rec fits p k =
+    k = 0 || (p <= max_int / max base 1 && fits (p * base) (k - 1))
   in
-  group_by_canon canon
-    (List.map (fun c -> (c, 1)) (configs ?allow_self ~nprocs ~nmsgs ()))
-
-(* All sorted configs (non-decreasing endpoint pairs) with the count of
-   ordered configs each stands for: nmsgs!/∏(run lengths!). Iterating
-   these instead of the full product is what keeps canonicalization cheap
-   at vast sizes. *)
-let sorted_configs ?(allow_self = false) ~nprocs ~nmsgs () =
-  let endpoints =
-    List.concat_map
-      (fun s -> List.init nprocs (fun d -> (s, d)))
-      (List.init nprocs Fun.id)
-    |> List.filter (fun (s, d) -> allow_self || s <> d)
-    |> Array.of_list
+  if not (fits 1 nmsgs) then
+    invalid_arg "Enumerate.configs_sym: (nprocs^2)^nmsgs overflows the key";
+  let codes =
+    Array.of_list
+      (List.filter
+         (fun c -> allow_self || c / nprocs <> c mod nprocs)
+         (List.init base Fun.id))
   in
-  let ne = Array.length endpoints in
+  let renamings =
+    List.map
+      (fun pi ->
+        let pi = Array.of_list pi in
+        Array.init base (fun c ->
+            (pi.(c / nprocs) * nprocs) + pi.(c mod nprocs)))
+      (permutations (List.init nprocs Fun.id))
+  in
   let fact = Array.make (nmsgs + 1) 1 in
   for i = 1 to nmsgs do
     fact.(i) <- fact.(i - 1) * i
   done;
-  if nmsgs = 0 then [ ([||], 1) ]
-  else begin
-    let acc = ref [] in
-    let idx = Array.make nmsgs 0 in
-    let rec go k lo =
-      if k = nmsgs then begin
-        let mult = ref fact.(nmsgs) in
-        let i = ref 0 in
-        while !i < nmsgs do
-          let j = ref !i in
-          while !j < nmsgs && idx.(!j) = idx.(!i) do
-            incr j
-          done;
-          mult := !mult / fact.(!j - !i);
-          i := !j
-        done;
-        acc := (Array.map (fun i -> endpoints.(i)) idx, !mult) :: !acc
-      end
-      else
-        for e = lo to ne - 1 do
-          idx.(k) <- e;
-          go (k + 1) e
-        done
-    in
-    go 0 0;
-    List.rev !acc
-  end
-
-let configs_sym ?allow_self ~nprocs ~nmsgs () =
-  (* quotient by process renaming × message reorder; representative =
-     lex-least sorted renamed config, multiplicity = number of ordered
-     configs whose run sets are isomorphic to the representative's *)
-  let perms = proc_perms nprocs in
-  let canon msgs =
-    List.fold_left
-      (fun best pi ->
-        let c = rename_config pi msgs in
-        Array.sort compare c;
-        match best with Some b when compare b c <= 0 -> best | _ -> Some c)
-      None perms
-    |> Option.get
+  let ordered (sorted : int array) =
+    let mult = ref fact.(nmsgs) and i = ref 0 in
+    while !i < nmsgs do
+      let j = ref !i in
+      while !j < nmsgs && sorted.(!j) = sorted.(!i) do
+        incr j
+      done;
+      mult := !mult / fact.(!j - !i);
+      i := !j
+    done;
+    !mult
   in
-  group_by_canon canon (sorted_configs ?allow_self ~nprocs ~nmsgs ())
+  let seen = Int_set.create 1024 in
+  let first = Array.make nmsgs 0 and member = Array.make nmsgs 0 in
+  let orbits = ref [] in
+  let open_orbit () =
+    let rep = ref max_int and weight = ref 0 in
+    List.iter
+      (fun table ->
+        for i = 0 to nmsgs - 1 do
+          let c = table.(first.(i)) in
+          let j = ref i in
+          while !j > 0 && member.(!j - 1) > c do
+            member.(!j) <- member.(!j - 1);
+            decr j
+          done;
+          member.(!j) <- c
+        done;
+        let key = Array.fold_left (fun k c -> (k * base) + c) 0 member in
+        if not (Int_set.mem seen key) then begin
+          Int_set.add seen key ();
+          weight := !weight + ordered member;
+          rep := Int.min !rep key
+        end)
+      renamings;
+    let rep =
+      let k = ref !rep and rep = Array.make nmsgs (0, 0) in
+      for i = nmsgs - 1 downto 0 do
+        let c = !k mod base in
+        rep.(i) <- (c / nprocs, c mod nprocs);
+        k := !k / base
+      done;
+      rep
+    in
+    orbits := (rep, !weight) :: !orbits
+  in
+  let rec walk k lo key =
+    if k = nmsgs then (if not (Int_set.mem seen key) then open_orbit ())
+    else
+      for e = lo to Array.length codes - 1 do
+        first.(k) <- codes.(e);
+        walk (k + 1) e ((key * base) + codes.(e))
+      done
+  in
+  walk 0 0 0;
+  List.rev !orbits
 
 (* ------------------------------------------------------------------ *)
 (* The canonical-representative kernel. Same backtracking shape as

@@ -119,19 +119,6 @@ val sym_mult : msgs:(int * int) array -> int
     free on runs, so every orbit has exactly this many runs and exactly
     one canonical representative. *)
 
-val configs_quotient :
-  ?allow_self:bool ->
-  nprocs:int ->
-  nmsgs:int ->
-  unit ->
-  ((int * int) array * int) list
-(** {!configs} quotiented by process renaming: one lex-least
-    representative per orbit, paired with the orbit's size
-    (orbit-stabilizer: [nprocs! / |Stab|], obtained by direct counting).
-    Multiplicity-expanded counts equal the unquotiented list's:
-    [Σ mult = length (configs ())], and every representative is a member
-    of [configs ()]. First-seen order, deterministic. *)
-
 val configs_sym :
   ?allow_self:bool ->
   nprocs:int ->
@@ -139,11 +126,15 @@ val configs_sym :
   unit ->
   ((int * int) array * int) list
 (** {!configs} quotiented by process renaming {e and} message reorder:
-    one lex-least sorted representative per orbit. The multiplicity is
+    one lex-least sorted representative per orbit, in the order the
+    orbits are first met among the sorted configs. The multiplicity is
     the number of ordered configs in the orbit; every config in an orbit
     has an isomorphic run set, so
     [Σ (mult × count_runs rep) = Σ count_runs] over {!configs}. This is
-    the sharding domain of {!fold_abstracts_sym_par}. *)
+    the sharding domain of {!fold_abstracts_sym_par}. Each orbit is
+    walked once, at a cost of [nprocs!] renamings of a packed int key.
+    @raise Invalid_argument if [(nprocs²)^nmsgs] exceeds [max_int], the
+    packed key's range. *)
 
 val count_runs_sym : nprocs:int -> msgs:(int * int) array -> int
 (** Equals {!count_runs}, computed as [sym_mult × canonical count] with

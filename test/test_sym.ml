@@ -1,9 +1,15 @@
 (* The symmetry-quotiented enumeration (DESIGN.md §3j), verified
    differentially against the concrete kernel.
 
-   - configs_quotient / configs_sym: multiplicity-expanded config and
-     run counts equal the unquotiented enumeration's on every standard
-     size, and every representative is a member of the orbit it names;
+   - configs_quotient (the oracle) / configs_sym: multiplicity-expanded
+     config and run counts equal the unquotiented enumeration's on every
+     standard size, and every representative is a member of the orbit it
+     names;
+   - Enumerate.configs_sym (the orbit walk) equals the
+     canonicalise-per-config Oracle.configs_sym list, order included,
+     on the universe tier with and without self-addressed messages and
+     on the vast tier without them; its edge cases (no messages, one
+     process) are pinned and the packed-key overflow guard raises;
    - count_runs_sym = count_runs on every configuration;
    - orbit-expanded per-predicate violation counts and limit-set counts
      from fold_abstracts_sym (with and without decided-subtree pruning)
@@ -16,9 +22,10 @@
      seeded random predicates;
    - MO_SYM_DEEP=1 (nightly) extends the verify differential to the
      940,304-run deep tier, pins the 77,830,564-run vast tier's
-     orbit-expanded cardinalities, and widens the lattice payload
+     orbit-expanded cardinalities, widens the lattice payload
      differential to every catalog predicate and 200 random ones at
-     kmax 1-4. *)
+     kmax 1-4, and checks configs_sym against the oracle on the vast
+     tier with self-addressed messages. *)
 
 open Mo_core
 open Mo_order
@@ -30,6 +37,111 @@ let check_string = Alcotest.(check string)
 let deep = Sys.getenv_opt "MO_SYM_DEEP" <> None
 
 let sizes_all = (4, 2) :: Modelcheck.standard_sizes
+
+(* ---- reference config quotients ----------------------------------- *)
+
+(* The canonicalise-per-config quotients, kept as oracles for
+   Enumerate.configs_sym: every config tries every process renaming and
+   keeps the lex-least result, and configs are grouped by that key in
+   first-seen order. *)
+module Oracle = struct
+  let proc_perms nprocs =
+    List.map Array.of_list (Enumerate.permutations (List.init nprocs Fun.id))
+
+  let rename_config pi msgs = Array.map (fun (s, d) -> (pi.(s), pi.(d))) msgs
+
+  (* group a (config, weight) stream by canonical key, preserving
+     first-seen order *)
+  let group_by_canon canon stream =
+    let counts = Hashtbl.create 97 in
+    let order = ref [] in
+    List.iter
+      (fun (msgs, w) ->
+        let key = canon msgs in
+        match Hashtbl.find_opt counts key with
+        | None ->
+            Hashtbl.add counts key w;
+            order := key :: !order
+        | Some n -> Hashtbl.replace counts key (n + w))
+      stream;
+    List.rev_map (fun key -> (key, Hashtbl.find counts key)) !order
+
+  (* quotient by process renaming only; representative = lex-least
+     renamed config, multiplicity = orbit size among ordered configs *)
+  let configs_quotient ?allow_self ~nprocs ~nmsgs () =
+    let perms = proc_perms nprocs in
+    let canon msgs =
+      List.fold_left
+        (fun best pi ->
+          let c = rename_config pi msgs in
+          match best with Some b when compare b c <= 0 -> best | _ -> Some c)
+        None perms
+      |> Option.get
+    in
+    group_by_canon canon
+      (List.map
+         (fun c -> (c, 1))
+         (Enumerate.configs ?allow_self ~nprocs ~nmsgs ()))
+
+  (* all sorted configs (non-decreasing endpoint pairs) with the count of
+     ordered configs each stands for: nmsgs!/∏(run lengths!) *)
+  let sorted_configs ?(allow_self = false) ~nprocs ~nmsgs () =
+    let endpoints =
+      List.concat_map
+        (fun s -> List.init nprocs (fun d -> (s, d)))
+        (List.init nprocs Fun.id)
+      |> List.filter (fun (s, d) -> allow_self || s <> d)
+      |> Array.of_list
+    in
+    let ne = Array.length endpoints in
+    let fact = Array.make (nmsgs + 1) 1 in
+    for i = 1 to nmsgs do
+      fact.(i) <- fact.(i - 1) * i
+    done;
+    if nmsgs = 0 then [ ([||], 1) ]
+    else begin
+      let acc = ref [] in
+      let idx = Array.make nmsgs 0 in
+      let rec go k lo =
+        if k = nmsgs then begin
+          let mult = ref fact.(nmsgs) in
+          let i = ref 0 in
+          while !i < nmsgs do
+            let j = ref !i in
+            while !j < nmsgs && idx.(!j) = idx.(!i) do
+              incr j
+            done;
+            mult := !mult / fact.(!j - !i);
+            i := !j
+          done;
+          acc := (Array.map (fun i -> endpoints.(i)) idx, !mult) :: !acc
+        end
+        else
+          for e = lo to ne - 1 do
+            idx.(k) <- e;
+            go (k + 1) e
+          done
+      in
+      go 0 0;
+      List.rev !acc
+    end
+
+  (* quotient by process renaming × message reorder; representative =
+     lex-least sorted renamed config, multiplicity = number of ordered
+     configs whose run sets are isomorphic to the representative's *)
+  let configs_sym ?allow_self ~nprocs ~nmsgs () =
+    let perms = proc_perms nprocs in
+    let canon msgs =
+      List.fold_left
+        (fun best pi ->
+          let c = rename_config pi msgs in
+          Array.sort compare c;
+          match best with Some b when compare b c <= 0 -> best | _ -> Some c)
+        None perms
+      |> Option.get
+    in
+    group_by_canon canon (sorted_configs ?allow_self ~nprocs ~nmsgs ())
+end
 
 (* ---- config quotients --------------------------------------------- *)
 
@@ -44,7 +156,7 @@ let test_configs_quotient () =
       let expand_runs q =
         List.fold_left (fun a (c, m) -> a + (m * runs_of c)) 0 q
       in
-      let q = Enumerate.configs_quotient ~nprocs ~nmsgs () in
+      let q = Oracle.configs_quotient ~nprocs ~nmsgs () in
       check_int
         (label "(%d,%d) quotient multiplicities expand to the config count")
         (List.length cfgs) (expand q);
@@ -73,6 +185,64 @@ let test_configs_quotient () =
         true
         (List.length s <= List.length q))
     sizes_all
+
+(* the orbit walk returns the oracle's list exactly: same
+   representatives, same multiplicities, same first-seen order *)
+let test_configs_sym_oracle () =
+  let sweep =
+    List.map (fun s -> (s, false)) Modelcheck.universe_sizes
+    @ List.map (fun s -> (s, true)) Modelcheck.universe_sizes
+    @ List.map (fun s -> (s, false)) Modelcheck.vast_sizes
+    @ if deep then List.map (fun s -> (s, true)) Modelcheck.vast_sizes else []
+  in
+  List.iter
+    (fun ((nprocs, nmsgs), allow_self) ->
+      check_bool
+        (Printf.sprintf "(%d,%d) allow_self %b: configs_sym = oracle" nprocs
+           nmsgs allow_self)
+        true
+        (Enumerate.configs_sym ~allow_self ~nprocs ~nmsgs ()
+        = Oracle.configs_sym ~allow_self ~nprocs ~nmsgs ()))
+    sweep
+
+let test_configs_sym_edges () =
+  let pin ~allow_self ~nprocs ~nmsgs want =
+    let label =
+      Printf.sprintf "(%d,%d) allow_self %b" nprocs nmsgs allow_self
+    in
+    let got = Enumerate.configs_sym ~allow_self ~nprocs ~nmsgs () in
+    check_bool (label ^ ": pinned") true (got = want);
+    check_bool (label ^ ": = oracle") true
+      (got = Oracle.configs_sym ~allow_self ~nprocs ~nmsgs ())
+  in
+  List.iter
+    (fun (nprocs, allow_self) -> pin ~allow_self ~nprocs ~nmsgs:0 [ ([||], 1) ])
+    [ (1, false); (1, true); (3, false); (3, true) ];
+  List.iter
+    (fun nmsgs ->
+      pin ~allow_self:false ~nprocs:1 ~nmsgs [];
+      pin ~allow_self:true ~nprocs:1 ~nmsgs [ (Array.make nmsgs (0, 0), 1) ])
+    [ 1; 2; 3 ];
+  (* the packed key holds (nprocs^2)^nmsgs values; past max_int the
+     walk refuses instead of returning a wrong quotient *)
+  List.iter
+    (fun (nprocs, nmsgs) ->
+      check_bool
+        (Printf.sprintf "(%d,%d): key overflow raises" nprocs nmsgs)
+        true
+        (match Enumerate.configs_sym ~nprocs ~nmsgs () with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [ (2, 31); (5, 14); (4, 16) ];
+  (* 4^30 < max_int < 4^31: (2,30) is the widest 2-process key; its 31
+     sorted configs pair up as k <-> 30-k copies of (0,1). Its weights
+     pass through 30!, which overflows, so only representatives are
+     compared. *)
+  check_bool "(2,30): widest 2-process key, representatives = oracle" true
+    (List.map fst (Enumerate.configs_sym ~nprocs:2 ~nmsgs:30 ())
+    = List.map fst (Oracle.configs_sym ~nprocs:2 ~nmsgs:30 ()));
+  check_int "(2,30): 16 orbits" 16
+    (List.length (Enumerate.configs_sym ~nprocs:2 ~nmsgs:30 ()))
 
 let test_count_runs_sym () =
   List.iter
@@ -317,6 +487,10 @@ let () =
         [
           Alcotest.test_case "configs_quotient / configs_sym" `Quick
             test_configs_quotient;
+          Alcotest.test_case "configs_sym = oracle, order included" `Quick
+            test_configs_sym_oracle;
+          Alcotest.test_case "configs_sym edges and key-width guard" `Quick
+            test_configs_sym_edges;
           Alcotest.test_case "count_runs_sym" `Quick test_count_runs_sym;
         ] );
       ( "verdicts",
