@@ -102,11 +102,11 @@ let satisfies_ref ?distinct p run = not (holds_ref ?distinct p run)
 (* ------------------------------------------------------------------ *)
 (* Compiled evaluator.                                                *)
 (*                                                                    *)
-(* A predicate compiles once into staged matching plans over the bit  *)
-(* matrices of Run.Abstract.relations. At each stage the candidate    *)
-(* set for the stage's variable starts as the full message universe   *)
+(* A predicate compiles once into staged matching plans over the      *)
+(* eight relation sections of Run.Abstract.masks. At each stage the   *)
+(* candidate set for the stage's variable starts as the live messages *)
 (* (minus used messages under distinctness) and is narrowed by        *)
-(* intersecting one matrix row per binary conjunct linking it to an   *)
+(* intersecting one row per binary conjunct linking it to an          *)
 (* already-bound variable; only same-variable conjuncts and guards    *)
 (* remain as per-candidate scalar checks. Two plans are kept:         *)
 (*                                                                    *)
@@ -120,15 +120,23 @@ let satisfies_ref ?distinct p run = not (holds_ref ?distinct p run)
 (*   matters and tighter early stages prune best.                     *)
 (* ------------------------------------------------------------------ *)
 
-(* which matrix row constrains the candidates of the current variable,
-   given the bound endpoint's message *)
-type sel = SS | SR | RS | RR | SS_T | SR_T | RS_T | RR_T
+(* the section of Run.Abstract.masks for [x.b ▷ y.a]: its row x holds
+   those y. The transposed section, whose row y holds those x, is 4
+   further on. *)
+let section (b : Event.point) (a : Event.point) =
+  match (b, a) with
+  | Event.S, Event.S -> 0
+  | Event.S, Event.R -> 1
+  | Event.R, Event.S -> 2
+  | Event.R, Event.R -> 3
 
 type cstage = {
   var : int;
-  rows : (int * sel) array; (* (bound variable, matrix) per binary conjunct *)
-  self_conj : Term.conjunct list; (* both endpoints on this variable *)
-  sguards : Term.guard list; (* guards whose last variable is this one *)
+  bound : int array; (* per binary conjunct: the variable bound before *)
+  secs : int array; (* and the section whose row at its message narrows *)
+  diag : int array;
+      (* same-variable conjuncts: sections whose row c must hold bit c *)
+  sguards : Term.guard array; (* guards whose last variable is this one *)
 }
 
 type compiled = {
@@ -138,52 +146,26 @@ type compiled = {
   fast : cstage array;
 }
 
-let fwd_sel (b : Event.point) (a : Event.point) =
-  match (b, a) with
-  | Event.S, Event.S -> SS
-  | Event.S, Event.R -> SR
-  | Event.R, Event.S -> RS
-  | Event.R, Event.R -> RR
-
-let bwd_sel (b : Event.point) (a : Event.point) =
-  match (b, a) with
-  | Event.S, Event.S -> SS_T
-  | Event.S, Event.R -> SR_T
-  | Event.R, Event.S -> RS_T
-  | Event.R, Event.R -> RR_T
-
-let row_of (rel : Run.Abstract.relations) sel msg =
-  match sel with
-  | SS -> rel.Run.Abstract.ss.(msg)
-  | SR -> rel.Run.Abstract.sr.(msg)
-  | RS -> rel.Run.Abstract.rs.(msg)
-  | RR -> rel.Run.Abstract.rr.(msg)
-  | SS_T -> rel.Run.Abstract.ss_t.(msg)
-  | SR_T -> rel.Run.Abstract.sr_t.(msg)
-  | RS_T -> rel.Run.Abstract.rs_t.(msg)
-  | RR_T -> rel.Run.Abstract.rr_t.(msg)
-
 let build_stages p order =
   let m = Forbidden.nvars p in
   let pos_of = Array.make m 0 in
   Array.iteri (fun i v -> pos_of.(v) <- i) order;
   let rows = Array.make m [] in
-  let self_conj = Array.make m [] in
+  let diag = Array.make m [] in
   let sguards = Array.make m [] in
   List.iter
     (fun (c : Term.conjunct) ->
       let b = c.before.var and a = c.after.var in
-      if b = a then self_conj.(pos_of.(b)) <- c :: self_conj.(pos_of.(b))
+      let k = section c.before.point c.after.point in
+      if b = a then diag.(pos_of.(b)) <- k :: diag.(pos_of.(b))
       else if pos_of.(b) < pos_of.(a) then
         (* [before] is bound when [after] is being chosen: candidates y
            with b_msg.point ▷ y.point' are a forward row at b's message *)
-        rows.(pos_of.(a)) <-
-          (b, fwd_sel c.before.point c.after.point) :: rows.(pos_of.(a))
+        rows.(pos_of.(a)) <- (b, k) :: rows.(pos_of.(a))
       else
         (* [after] is bound first: candidates x with x.point ▷ a_msg.point'
            are a transposed row at a's message *)
-        rows.(pos_of.(b)) <-
-          (a, bwd_sel c.before.point c.after.point) :: rows.(pos_of.(b)))
+        rows.(pos_of.(b)) <- (a, k + 4) :: rows.(pos_of.(b)))
     (Forbidden.conjuncts p);
   List.iter
     (fun (g : Term.guard) ->
@@ -196,11 +178,13 @@ let build_stages p order =
       sguards.(pos) <- g :: sguards.(pos))
     (Forbidden.guards p);
   Array.init m (fun i ->
+      let rows = Array.of_list (List.rev rows.(i)) in
       {
         var = order.(i);
-        rows = Array.of_list (List.rev rows.(i));
-        self_conj = List.rev self_conj.(i);
-        sguards = List.rev sguards.(i);
+        bound = Array.map fst rows;
+        secs = Array.map snd rows;
+        diag = Array.of_list (List.rev diag.(i));
+        sguards = Array.of_list (List.rev sguards.(i));
       })
 
 (* Greedy most-constrained-first: repeatedly pick the unordered variable
@@ -252,119 +236,159 @@ let compile p =
 
 let predicate c = c.pred
 
-let sel_index = function
-  | SS -> 0
-  | SR -> 1
-  | RS -> 2
-  | RR -> 3
-  | SS_T -> 4
-  | SR_T -> 5
-  | RS_T -> 6
-  | RR_T -> 7
+(* Attribute guards over int columns: [-1] means unknown, and an unknown
+   attribute satisfies no guard (see Run.attr_table). *)
+let rec guards_ok ~srcs ~dsts ~colors a (gs : Term.guard array) j =
+  j = Array.length gs
+  || (match gs.(j) with
+     | Term.Same_src (x, y) ->
+         let s = srcs.(a.(x)) in
+         s >= 0 && s = srcs.(a.(y))
+     | Term.Same_dst (x, y) ->
+         let d = dsts.(a.(x)) in
+         d >= 0 && d = dsts.(a.(y))
+     | Term.Color_is (x, c) -> colors.(a.(x)) = c)
+     && guards_ok ~srcs ~dsts ~colors a gs (j + 1)
 
-(* The staged matcher over the packed int-mask rows (runs of ≤ 62
-   messages, i.e. everything the enumeration kernel emits). Candidate and
-   used sets are single ints; a self-conjunct is one bit test of the
-   matrix diagonal — crucially {e not} an event-level [lt] query, which
-   would force the lazy poset of a mask-built run. Candidates are visited
-   ascending, matching the Bitset variant bit for bit. *)
-let run_plan_masks plan ~m ~distinct run masks emit =
-  let n = Run.Abstract.nmsgs run in
-  if m = 0 then ignore (emit [||])
-  else if n = 0 || (distinct && n < m) then ()
+(* What one packed search reads: the relation rows ([stride] per
+   section, in Run.Abstract.masks order), the live messages, the
+   attribute columns, and the assignment it fills in. A run query builds
+   one; a monitor matcher keeps one and rebinds it per query. *)
+type packed = {
+  mutable masks : int array;
+  mutable stride : int;
+  mutable live : int;
+  mutable srcs : int array;
+  mutable dsts : int array;
+  mutable colors : int array;
+  assignment : int array;
+}
+
+let rec diag_ok p c (diag : int array) j =
+  j = Array.length diag
+  || p.masks.((diag.(j) * p.stride) + c) land (1 lsl c) <> 0
+     && diag_ok p c diag (j + 1)
+
+(* The staged matcher over packed int-mask rows — runs of ≤ 62 messages
+   (everything the enumeration kernel emits) and the streaming monitor's
+   frontier alike. Candidate and used sets are single ints, candidates
+   are walked ascending by lowest set bit, and a self-conjunct is one bit
+   test of the matrix diagonal — crucially {e not} an event-level [lt]
+   query, which would force the lazy poset of a mask-built run. [emit]
+   sees each full assignment (indexed by variable, not stage) and returns
+   [true] to keep searching; the result is [true] once it has stopped
+   the search. Nothing here allocates: this is the per-event hot path of
+   [Pmon.check] (B15 holds it to >= 1M events/sec) and the per-leaf one
+   of the quotiented model check. *)
+let rec stage p plan ~distinct ~emit i used =
+  if i = Array.length plan then not (emit p.assignment)
   else begin
-    let full = (1 lsl n) - 1 in
-    let assignment = Array.make m (-1) in
-    let used = ref 0 in
-    let exception Done in
-    let rec go i =
-      if i = m then begin
-        if not (emit assignment) then raise Done
-      end
-      else begin
-        let st = plan.(i) in
-        let cand = ref (if distinct then full land lnot !used else full) in
-        Array.iter
-          (fun (w, s) ->
-            cand := !cand land masks.((sel_index s * n) + assignment.(w)))
-          st.rows;
-        let cand = !cand in
-        for c = 0 to n - 1 do
-          if cand land (1 lsl c) <> 0 then begin
-            assignment.(st.var) <- c;
-            if
-              List.for_all
-                (fun (cj : Term.conjunct) ->
-                  let k = sel_index (fwd_sel cj.before.point cj.after.point) in
-                  masks.((k * n) + c) land (1 lsl c) <> 0)
-                st.self_conj
-              && List.for_all (guard_holds run assignment) st.sguards
-            then begin
-              if distinct then used := !used lor (1 lsl c);
-              go (i + 1);
-              if distinct then used := !used land lnot (1 lsl c)
-            end
-          end
-        done
-      end
-    in
-    try go 0 with Done -> ()
+    let st = plan.(i) in
+    let cand = ref (if distinct then p.live land lnot used else p.live) in
+    for r = 0 to Array.length st.bound - 1 do
+      cand :=
+        !cand
+        land p.masks.((st.secs.(r) * p.stride) + p.assignment.(st.bound.(r)))
+    done;
+    candidates p plan ~distinct ~emit i used st !cand
   end
 
-(* The staged matcher over Bitset rows: the fallback for runs too large
-   for packed masks. [emit] sees each full assignment (indexed by
-   variable, not stage) and returns [true] to keep searching. *)
-let run_plan_bitsets plan ~m ~distinct run emit =
-  let n = Run.Abstract.nmsgs run in
-  if m = 0 then ignore (emit [||])
-  else if n = 0 || (distinct && n < m) then ()
-  else begin
-    let rel = Run.Abstract.relations run in
-    let scratch = Array.init m (fun _ -> Bitset.create n) in
-    let used = Bitset.create n in
-    let assignment = Array.make m (-1) in
-    let exception Done in
-    let rec go i =
-      if i = m then begin
-        if not (emit assignment) then raise Done
-      end
-      else begin
-        let st = plan.(i) in
-        let cand = scratch.(i) in
-        Bitset.set_all cand;
-        if distinct then Bitset.diff_into ~dst:cand used;
-        Array.iter
-          (fun (w, s) -> Bitset.inter_into ~dst:cand (row_of rel s assignment.(w)))
-          st.rows;
-        Bitset.iter
-          (fun c ->
-            assignment.(st.var) <- c;
-            if
-              List.for_all (conjunct_holds run assignment) st.self_conj
-              && List.for_all (guard_holds run assignment) st.sguards
-            then begin
-              if distinct then Bitset.add used c;
-              go (i + 1);
-              if distinct then Bitset.remove used c
-            end)
-          cand
-      end
-    in
-    try go 0 with Done -> ()
-  end
+and candidates p plan ~distinct ~emit i used st cand =
+  cand <> 0
+  &&
+  let c = Bitset.lowest_bit cand in
+  p.assignment.(st.var) <- c;
+  (diag_ok p c st.diag 0
+  && guards_ok ~srcs:p.srcs ~dsts:p.dsts ~colors:p.colors p.assignment
+       st.sguards 0
+  && stage p plan ~distinct ~emit (i + 1)
+       (if distinct then used lor (1 lsl c) else used))
+  || candidates p plan ~distinct ~emit i used st (cand land (cand - 1))
 
-let run_plan plan ~m ~distinct run emit =
-  match Run.Abstract.masks run with
-  | Some masks -> run_plan_masks plan ~m ~distinct run masks emit
-  | None -> run_plan_bitsets plan ~m ~distinct run emit
+exception Stop
+
+(* The same staged search over Bitset rows ([n] per section), for runs
+   too large for packed masks and wide monitor windows. Scratch is
+   allocated per call: this path trades the packed loop's
+   allocation-free discipline for width. *)
+let search_wide plan ~distinct ~n ~live ~rel ~srcs ~dsts ~colors assignment
+    emit =
+  let m = Array.length plan in
+  let scratch = Array.init m (fun _ -> Bitset.create n) in
+  let used = Bitset.create n in
+  let rec go i =
+    if i = m then begin
+      if not (emit assignment) then raise_notrace Stop
+    end
+    else begin
+      let st = plan.(i) in
+      let cand = scratch.(i) in
+      Bitset.copy_into ~dst:cand live;
+      if distinct then Bitset.diff_into ~dst:cand used;
+      Array.iteri
+        (fun r w ->
+          Bitset.inter_into ~dst:cand
+            rel.((st.secs.(r) * n) + assignment.(w)))
+        st.bound;
+      Bitset.iter
+        (fun c ->
+          assignment.(st.var) <- c;
+          if
+            Array.for_all (fun k -> Bitset.mem rel.((k * n) + c) c) st.diag
+            && guards_ok ~srcs ~dsts ~colors assignment st.sguards 0
+          then begin
+            if distinct then Bitset.add used c;
+            go (i + 1);
+            if distinct then Bitset.remove used c
+          end)
+        cand
+    end
+  in
+  try
+    go 0;
+    false
+  with Stop -> true
+
+let stop _ = false
+
+(* One run: its own packed rows when it has them, else its Bitset view. *)
+let run_plan plan ~distinct run emit =
+  let n = Run.Abstract.nmsgs run and m = Array.length plan in
+  if distinct && n < m then false
+  else
+    let t = Run.Abstract.attr_table run and assignment = Array.make m (-1) in
+    match Run.Abstract.masks run with
+    | Some masks ->
+        stage
+          {
+            masks;
+            stride = n;
+            live = (1 lsl n) - 1;
+            srcs = t.srcs;
+            dsts = t.dsts;
+            colors = t.colors;
+            assignment;
+          }
+          plan ~distinct ~emit 0 0
+    | None ->
+        let (r : Run.Abstract.relations) = Run.Abstract.relations run in
+        let rel =
+          Array.concat
+            [ r.ss; r.sr; r.rs; r.rr; r.ss_t; r.sr_t; r.rs_t; r.rr_t ]
+        in
+        let live = Bitset.create n in
+        Bitset.set_all live;
+        search_wide plan ~distinct ~n ~live ~rel ~srcs:t.srcs ~dsts:t.dsts
+          ~colors:t.colors assignment emit
 
 let search_compiled ?(distinct = true) ?(limit = max_int) c run =
   let results = ref [] in
   let count = ref 0 in
-  run_plan c.lex ~m:c.m ~distinct run (fun a ->
-      incr count;
-      results := Array.copy a :: !results;
-      !count < limit);
+  ignore
+    (run_plan c.lex ~distinct run (fun a ->
+         incr count;
+         results := Array.copy a :: !results;
+         !count < limit));
   List.rev !results
 
 let find_match_c ?distinct c run =
@@ -375,12 +399,7 @@ let find_match_c ?distinct c run =
 let find_matches_c ?distinct ?(limit = 1000) c run =
   search_compiled ?distinct ~limit c run
 
-let holds_c ?(distinct = true) c run =
-  let found = ref false in
-  run_plan c.fast ~m:c.m ~distinct run (fun _ ->
-      found := true;
-      false);
-  !found
+let holds_c ?(distinct = true) c run = run_plan c.fast ~distinct run stop
 
 let satisfies_c ?distinct c run = not (holds_c ?distinct c run)
 
@@ -402,156 +421,52 @@ let satisfies ?distinct p run = satisfies_c ?distinct (compile p) run
 (* ------------------------------------------------------------------ *)
 
 module Masked = struct
-  type matcher = { c : compiled; distinct : bool; assignment : int array }
+  type matcher = { c : compiled; distinct : bool; p : packed }
 
   let make ?(distinct = true) c =
-    { c; distinct; assignment = Array.make (max c.m 1) (-1) }
+    {
+      c;
+      distinct;
+      p =
+        {
+          masks = [||];
+          stride = 0;
+          live = 0;
+          srcs = [||];
+          dsts = [||];
+          colors = [||];
+          assignment = Array.make (max c.m 1) (-1);
+        };
+    }
 
-  (* Attribute guards over plain int arrays: [-1] means unknown, and an
-     unknown attribute satisfies no guard (colors and processes are
-     non-negative by construction). *)
-  let guard_ok ~src ~dst ~color assignment (g : Term.guard) =
-    match g with
-    | Term.Same_src (x, y) ->
-        let a = src.(assignment.(x)) in
-        a >= 0 && a = src.(assignment.(y))
-    | Term.Same_dst (x, y) ->
-        let a = dst.(assignment.(x)) in
-        a >= 0 && a = dst.(assignment.(y))
-    | Term.Color_is (x, c) -> color.(assignment.(x)) = c
-
-  exception Done
-
-  let rec self_ok masks n c = function
-    | [] -> true
-    | (cj : Term.conjunct) :: rest ->
-        let k = sel_index (fwd_sel cj.before.point cj.after.point) in
-        masks.((k * n) + c) land (1 lsl c) <> 0 && self_ok masks n c rest
-
-  let rec guards_ok ~src ~dst ~color assignment = function
-    | [] -> true
-    | g :: rest ->
-        guard_ok ~src ~dst ~color assignment g
-        && guards_ok ~src ~dst ~color assignment rest
-
-  (* [run_plan_masks] with the run replaced by raw rows of stride [n]
-     and a [live] occupancy mask: the streaming monitor's frontier
-     ({!Mo_order.Monitor}) is matched in place, between events. This is
-     the per-event hot path of [Pmon.check], so the search loop is kept
-     allocation-free (B15 holds it to >= 1M events/sec). *)
-  let run_plan u plan ~n ~live ~masks ~src ~dst ~color emit =
-    let m = u.c.m in
-    if m = 0 then ignore (emit u.assignment)
-    else if live <> 0 then begin
-      let assignment = u.assignment in
-      let used = ref 0 in
-      let rec go i =
-        if i = m then begin
-          if not (emit assignment) then raise_notrace Done
-        end
-        else begin
-          let st = plan.(i) in
-          let rows = st.rows in
-          let cand =
-            ref (if u.distinct then live land lnot !used else live)
-          in
-          for ri = 0 to Array.length rows - 1 do
-            let w, s = rows.(ri) in
-            cand := !cand land masks.((sel_index s * n) + assignment.(w))
-          done;
-          let cand = !cand in
-          if cand <> 0 then
-            for c = 0 to n - 1 do
-              if cand land (1 lsl c) <> 0 then begin
-                assignment.(st.var) <- c;
-                if
-                  self_ok masks n c st.self_conj
-                  && guards_ok ~src ~dst ~color assignment st.sguards
-                then begin
-                  if u.distinct then used := !used lor (1 lsl c);
-                  go (i + 1);
-                  if u.distinct then used := !used land lnot (1 lsl c)
-                end
-              end
-            done
-        end
-      in
-      try go 0 with Done -> ()
-    end
-
+  (* the monitor's frontier ({!Mo_order.Monitor}) is matched in place,
+     between events: rebinding the matcher's search state writes fields,
+     it allocates nothing *)
   let holds u ~n ~live ~masks ~src ~dst ~color =
-    let found = ref false in
-    run_plan u u.c.fast ~n ~live ~masks ~src ~dst ~color (fun _ ->
-        found := true;
-        false);
-    !found
+    let p = u.p in
+    p.masks <- masks;
+    p.stride <- n;
+    p.live <- live;
+    p.srcs <- src;
+    p.dsts <- dst;
+    p.colors <- color;
+    stage p u.c.fast ~distinct:u.distinct ~emit:stop 0 0
 
+  (* a stopped search leaves its match in the assignment *)
   let find u ~n ~live ~masks ~src ~dst ~color =
-    let res = ref None in
-    run_plan u u.c.fast ~n ~live ~masks ~src ~dst ~color (fun a ->
-        res := Some (Array.copy a);
-        false);
-    !res
-
-  let rec self_ok_wide rel n c = function
-    | [] -> true
-    | (cj : Term.conjunct) :: rest ->
-        let k = sel_index (fwd_sel cj.before.point cj.after.point) in
-        Bitset.mem rel.((k * n) + c) c && self_ok_wide rel n c rest
-
-  (* the wide-window twin of [run_plan]: the same staged search over the
-     Bitset rows of a wide monitor (cf. [run_plan_bitsets]). Scratch is
-     allocated per call — the wide path trades the packed loop's
-     allocation-free discipline for width *)
-  let run_plan_wide u plan ~n ~live ~rel ~src ~dst ~color emit =
-    let m = u.c.m in
-    if m = 0 then ignore (emit u.assignment)
-    else if not (Bitset.is_empty live) then begin
-      let assignment = u.assignment in
-      let scratch = Array.init m (fun _ -> Bitset.create n) in
-      let used = Bitset.create n in
-      let rec go i =
-        if i = m then begin
-          if not (emit assignment) then raise_notrace Done
-        end
-        else begin
-          let st = plan.(i) in
-          let cand = scratch.(i) in
-          Bitset.copy_into ~dst:cand live;
-          if u.distinct then Bitset.diff_into ~dst:cand used;
-          Array.iter
-            (fun (w, s) ->
-              Bitset.inter_into ~dst:cand
-                rel.((sel_index s * n) + assignment.(w)))
-            st.rows;
-          Bitset.iter
-            (fun c ->
-              assignment.(st.var) <- c;
-              if
-                self_ok_wide rel n c st.self_conj
-                && guards_ok ~src ~dst ~color assignment st.sguards
-              then begin
-                if u.distinct then Bitset.add used c;
-                go (i + 1);
-                if u.distinct then Bitset.remove used c
-              end)
-            cand
-        end
-      in
-      try go 0 with Done -> ()
-    end
-
-  let holds_wide u ~n ~live ~rel ~src ~dst ~color =
-    let found = ref false in
-    run_plan_wide u u.c.fast ~n ~live ~rel ~src ~dst ~color (fun _ ->
-        found := true;
-        false);
-    !found
+    if holds u ~n ~live ~masks ~src ~dst ~color then
+      Some (Array.copy u.p.assignment)
+    else None
 
   let find_wide u ~n ~live ~rel ~src ~dst ~color =
     let res = ref None in
-    run_plan_wide u u.c.fast ~n ~live ~rel ~src ~dst ~color (fun a ->
-        res := Some (Array.copy a);
-        false);
+    ignore
+      (search_wide u.c.fast ~distinct:u.distinct ~n ~live ~rel ~srcs:src
+         ~dsts:dst ~colors:color u.p.assignment (fun a ->
+           res := Some (Array.copy a);
+           false));
     !res
+
+  let holds_wide u ~n ~live ~rel ~src ~dst ~color =
+    Option.is_some (find_wide u ~n ~live ~rel ~src ~dst ~color)
 end

@@ -11,12 +11,15 @@
     through the tautology [x.s ▷ x.r], making [X_sync] empty. Pass
     [~distinct:false] to get the plain reading.
 
-    Two matchers are provided. The {e compiled} evaluator (the default
-    behind {!find_match}/{!holds}/{!satisfies}) stages the predicate once
-    into a bit-matrix matching plan over {!Mo_order.Run.Abstract.relations}:
-    candidate messages for each variable are narrowed by row intersections,
-    with most-constrained-variable-first ordering for the boolean queries.
-    The original backtracking interpreter is kept verbatim as the
+    The {e compiled} evaluator (the default behind
+    {!find_match}/{!holds}/{!satisfies}) stages the predicate once into a
+    matching plan over the run's packed relation rows
+    ({!Mo_order.Run.Abstract.masks}): candidate messages for each variable
+    are narrowed by row intersections, with most-constrained-variable-first
+    ordering for the boolean queries. One search loop serves both run
+    queries and {!Masked}, the streaming monitor's entry point; runs past
+    62 messages and wide monitor windows take the same plan over Bitset
+    rows. The original backtracking interpreter is kept verbatim as the
     differential reference ([*_ref]); the two agree byte-for-byte (see
     test/test_eval_fast.ml). *)
 
@@ -76,8 +79,9 @@ val satisfies_c : ?distinct:bool -> compiled -> Mo_order.Run.Abstract.t -> bool
     The compiled plans evaluated directly against relation rows owned by
     someone else — in practice the streaming frontier of
     {!Mo_order.Monitor}, whose [masks]/[live]/attribute arrays have
-    exactly this shape. No run value, no allocation per query: a
-    [matcher] carries reusable scratch, so one per monitor (they are
+    exactly this shape. This is the run evaluators' own search loop, with
+    no run value and no allocation per {!holds} query: a [matcher]
+    carries reusable scratch, so one per monitor (they are
     single-threaded, like the monitor itself). *)
 
 module Masked : sig

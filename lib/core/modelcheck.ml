@@ -112,7 +112,10 @@ let with_pool pool f =
    runs-only. The async forms must be *statically* unsatisfiable for
    their conjunct to stay true — which is exactly Lemma 3.3's syntactic
    direction, so we check it with Forbidden.simplify rather than assume
-   the semantic lemma under verification. *)
+   the semantic lemma under verification. Forbidden.simplify only
+   catches single-variable contradictions and proves none of the async
+   forms unsatisfiable, so this returns [None], and no boundary abstract
+   is built for a prune that could not fire. *)
 let verify_prune plans =
   let asyncs_unsat =
     List.for_all
@@ -123,8 +126,7 @@ let verify_prune plans =
       Catalog.async_forms
   in
   let decided a =
-    asyncs_unsat
-    && (not (Limits.is_causal a))
+    (not (Limits.is_causal a))
     && (not (Limits.is_sync a))
     && Eval.holds_c plans.p_b2 a
     && Eval.holds_c plans.p_b1 a
@@ -133,7 +135,7 @@ let verify_prune plans =
   let on_pruned acc ~mult ~runs _a =
     { acc with a_runs = acc.a_runs + (mult * runs) }
   in
-  (decided, on_pruned)
+  if asyncs_unsat then Some (decided, on_pruned) else None
 
 let verify ?pool ?(sym = false) ~sizes () =
   (* force the compiled plans on this domain before any worker shards run *)
@@ -145,7 +147,7 @@ let verify ?pool ?(sym = false) ~sizes () =
             (fun acc (nprocs, nmsgs) ->
               acc_merge acc
                 (Enumerate.fold_abstracts_sym_par ~pool ~nprocs ~nmsgs
-                   ~prune:(verify_prune plans) ~init:acc_init
+                   ?prune:(verify_prune plans) ~init:acc_init
                    ~f:(fun acc ~mult r -> step_mult plans ~mult acc r)
                    ~merge:acc_merge ()))
             acc_init sizes

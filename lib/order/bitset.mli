@@ -34,6 +34,11 @@ val copy : t -> t
 val copy_into : dst:t -> t -> unit
 (** [copy_into ~dst src] overwrites [dst] with the contents of [src]. *)
 
+val lowest_bit : int -> int
+(** [lowest_bit w] is the index of the least significant set bit of the
+    non-zero int word [w] — the step for walking a packed int row's
+    members in ascending order. *)
+
 val cardinal : t -> int
 
 val is_empty : t -> bool

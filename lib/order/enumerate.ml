@@ -104,6 +104,19 @@ let count_runs ~nprocs ~msgs =
   enum ~nprocs ~msgs ~leaf:(fun ~seq:_ ~builder:_ -> incr n);
   !n
 
+(* bits 0, 2, 4 and 6 of a byte, packed into bits 0..3 *)
+let even_bits =
+  Array.init 256 (fun b ->
+      (b land 1) lor ((b lsr 1) land 2) lor ((b lsr 2) land 4)
+      lor ((b lsr 3) land 8))
+
+(* bit 2y of [row] becomes bit y, a byte (four messages) at a time *)
+let rec compress_even row shift acc =
+  if row = 0 then acc
+  else
+    compress_even (row lsr 8) (shift + 4)
+      (acc lor (even_bits.(row land 255) lsl shift))
+
 (* De-interleave a builder's event-level reach rows into Run.Abstract's
    packed msg×msg masks (rows ss sr rs rr, then their transposes). Valid
    on partial closures too: the projection of whatever edges are present. *)
@@ -113,28 +126,25 @@ let masks_of_builder ~nmsgs b =
     let x = u lsr 1 in
     let base = if u land 1 = 0 then 0 else 2 in
     let row = Order_builder.reach_mask b u in
-    let sm = ref 0 and rm = ref 0 in
-    for y = 0 to nmsgs - 1 do
-      if row land (1 lsl (2 * y)) <> 0 then sm := !sm lor (1 lsl y);
-      if row land (1 lsl ((2 * y) + 1)) <> 0 then rm := !rm lor (1 lsl y)
-    done;
-    masks.((base * nmsgs) + x) <- !sm;
-    masks.(((base + 1) * nmsgs) + x) <- !rm
+    masks.((base * nmsgs) + x) <- compress_even row 0 0;
+    masks.(((base + 1) * nmsgs) + x) <- compress_even (row lsr 1) 0 0
   done;
   for k = 0 to 3 do
     let fwd = k * nmsgs and bwd = (k + 4) * nmsgs in
     for x = 0 to nmsgs - 1 do
-      let bits = masks.(fwd + x) and xb = 1 lsl x in
-      for y = 0 to nmsgs - 1 do
-        if bits land (1 lsl y) <> 0 then
-          masks.(bwd + y) <- masks.(bwd + y) lor xb
+      let bits = ref masks.(fwd + x) in
+      while !bits <> 0 do
+        let y = Bitset.lowest_bit !bits in
+        masks.(bwd + y) <- masks.(bwd + y) lor (1 lsl x);
+        bits := !bits land (!bits - 1)
       done
     done
   done;
   masks
 
 let shared_attrs msgs =
-  Array.map (fun (src, dst) -> Run.attrs_known ~src ~dst ()) msgs
+  Run.attr_table
+    (Array.map (fun (src, dst) -> Run.attrs_known ~src ~dst ()) msgs)
 
 (* The abstract fast path: de-interleave the builder's event-level reach
    rows straight into Run.Abstract's packed msg×msg masks at each leaf —
@@ -430,8 +440,11 @@ let enum_sym ~nprocs ~msgs ~prune ~leaf =
     let abstract () =
       Run.Abstract.of_masks ~nmsgs ~attrs (masks_of_builder ~nmsgs b)
     in
-    let keys = Array.make sig_tbl_size [||] in
-    let vals = Array.make sig_tbl_size 0 in
+    (* the completion-count memo is only consulted under a prune; without
+       one, two 4096-slot tables per configuration would be garbage *)
+    let slots = if Option.is_some prune then sig_tbl_size else 0 in
+    let keys = Array.make slots [||] in
+    let vals = Array.make slots 0 in
     let signature p =
       let key = Array.make (1 + (2 * nmsgs)) p in
       for u = 0 to (2 * nmsgs) - 1 do

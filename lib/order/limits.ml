@@ -130,47 +130,37 @@ let check_sync r =
       }
   end
 
-(* Fast SYNC membership: Kahn over the message graph assembled as bitset
-   rows (union of the four endpoint relations, self-loops dropped — sr.(x)
-   always contains x via x.s ▷ x.r). [check_sync] stays as the
-   witness-producing reference. *)
+(* Source peeling over packed rows: the message graph restricted to
+   [rem] is acyclic iff its sources (messages none of whose predecessors
+   remain) can be peeled off round by round until nothing is left. A
+   message's predecessors are the union of its four transposed rows
+   (sections 4-7), self bit dropped — sr_t.(y) always holds y. *)
+let rec peel mk n rem =
+  rem = 0
+  ||
+  let sources = ref 0 and rest = ref rem in
+  while !rest <> 0 do
+    let y = Bitset.lowest_bit !rest in
+    let preds =
+      mk.((4 * n) + y) lor mk.((5 * n) + y) lor mk.((6 * n) + y)
+      lor mk.((7 * n) + y)
+    in
+    if preds land rem land lnot (1 lsl y) = 0 then
+      sources := !sources lor (1 lsl y);
+    rest := !rest land (!rest - 1)
+  done;
+  !sources <> 0 && peel mk n (rem lxor !sources)
+
+(* Fast SYNC membership: source peeling on the packed rows, Kahn over
+   assembled Bitset rows (the four forward relations, self-loops dropped)
+   beyond 62 messages. [check_sync] stays as the witness-producing
+   reference. *)
 let is_sync r =
   let n = Run.Abstract.nmsgs r in
   if n <= 1 then true
   else
     match Run.Abstract.masks r with
-    | Some mk ->
-        (* message-graph rows as single ints: union of the four forward
-           sections, self-bit dropped *)
-        let succ =
-          Array.init n (fun x ->
-              (mk.(x) lor mk.(n + x) lor mk.((2 * n) + x) lor mk.((3 * n) + x))
-              land lnot (1 lsl x))
-        in
-        let indeg = Array.make n 0 in
-        Array.iter
-          (fun row ->
-            for y = 0 to n - 1 do
-              if row land (1 lsl y) <> 0 then indeg.(y) <- indeg.(y) + 1
-            done)
-          succ;
-        let queue = Queue.create () in
-        for x = 0 to n - 1 do
-          if indeg.(x) = 0 then Queue.add x queue
-        done;
-        let numbered = ref 0 in
-        while not (Queue.is_empty queue) do
-          let x = Queue.pop queue in
-          incr numbered;
-          let row = succ.(x) in
-          for y = 0 to n - 1 do
-            if row land (1 lsl y) <> 0 then begin
-              indeg.(y) <- indeg.(y) - 1;
-              if indeg.(y) = 0 then Queue.add y queue
-            end
-          done
-        done;
-        !numbered = n
+    | Some mk -> peel mk n ((1 lsl n) - 1)
     | None ->
         let rel = Run.Abstract.relations r in
         let succ =

@@ -5,6 +5,22 @@ let no_attrs = { src = None; dst = None; color = None }
 let attrs_known ~src ~dst ?color () =
   { src = Some src; dst = Some dst; color }
 
+type attr_table = {
+  records : attrs array;
+  srcs : int array;
+  dsts : int array;
+  colors : int array;
+}
+
+let attr_table records =
+  let col f = Array.map (fun a -> Option.value (f a) ~default:(-1)) records in
+  {
+    records;
+    srcs = col (fun a -> a.src);
+    dsts = col (fun a -> a.dst);
+    colors = col (fun a -> a.color);
+  }
+
 module Abstract = struct
   type relations = {
     ss : Bitset.t array;
@@ -22,7 +38,7 @@ module Abstract = struct
     po_l : Poset.t Lazy.t;
         (* lazy so the enumeration kernel can hand over only the packed
            closure masks; forced on the first event-level query *)
-    attrs : attrs array;
+    attrs : attr_table;
     mutable rels : relations option; (* Bitset view, computed on first use *)
     mutable masks : int array option;
         (* packed relation rows: row x of relation k at index k*nmsgs + x,
@@ -51,7 +67,13 @@ module Abstract = struct
     | None -> None
     | Some po ->
         Some
-          { nmsgs; po_l = Lazy.from_val po; attrs; rels = None; masks = None }
+          {
+            nmsgs;
+            po_l = Lazy.from_val po;
+            attrs = attr_table attrs;
+            rels = None;
+            masks = None;
+          }
 
   let create_exn ~nmsgs ?attrs edges =
     match create ~nmsgs ?attrs edges with
@@ -62,7 +84,9 @@ module Abstract = struct
 
   let attrs t m =
     if m < 0 || m >= t.nmsgs then invalid_arg "Run.Abstract.attrs";
-    t.attrs.(m)
+    t.attrs.records.(m)
+
+  let attr_table t = t.attrs
 
   let poset t = Lazy.force t.po_l
 
@@ -135,7 +159,7 @@ module Abstract = struct
      rebuilt lazily from the masks if ever queried. *)
   let of_masks ~nmsgs ~attrs masks =
     if nmsgs > max_mask_msgs then invalid_arg "Run.Abstract.of_masks: too big";
-    if Array.length attrs <> nmsgs then
+    if Array.length attrs.records <> nmsgs then
       invalid_arg "Run.Abstract.of_masks: attrs length mismatch";
     if Array.length masks <> 8 * nmsgs then
       invalid_arg "Run.Abstract.of_masks: masks length mismatch";
@@ -243,7 +267,7 @@ module Abstract = struct
   let equal a b =
     a.nmsgs = b.nmsgs
     && Poset.relation_equal (poset a) (poset b)
-    && Array.for_all2 attrs_equal a.attrs b.attrs
+    && Array.for_all2 attrs_equal a.attrs.records b.attrs.records
 
   let pp ppf t =
     Format.fprintf ppf "@[<v>run(%d msgs):" t.nmsgs;
@@ -424,7 +448,7 @@ let to_abstract t =
   {
     Abstract.nmsgs;
     po_l = Lazy.from_val t.po;
-    attrs;
+    attrs = attr_table attrs;
     rels = None;
     masks = None;
   }

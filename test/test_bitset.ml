@@ -94,6 +94,19 @@ let prop_elements_sorted =
       let e = Mo_order.Bitset.elements s in
       e = List.sort_uniq Int.compare xs)
 
+(* every single bit, alone and under every higher bit (up to the sign
+   bit): the lowest one is found *)
+let test_lowest_bit () =
+  for i = 0 to 62 do
+    Alcotest.(check int) "alone" i (Mo_order.Bitset.lowest_bit (1 lsl i));
+    for j = i + 1 to 62 do
+      Alcotest.(check int)
+        "under a higher bit" i
+        (Mo_order.Bitset.lowest_bit ((1 lsl i) lor (1 lsl j)))
+    done
+  done;
+  Alcotest.(check int) "all bits" 0 (Mo_order.Bitset.lowest_bit (-1))
+
 let () =
   Alcotest.run "bitset"
     [
@@ -106,6 +119,7 @@ let () =
           Alcotest.test_case "union/inter" `Quick test_union_inter;
           Alcotest.test_case "subset/equal" `Quick test_subset_equal;
           Alcotest.test_case "iter/fold" `Quick test_iter_fold;
+          Alcotest.test_case "lowest_bit" `Quick test_lowest_bit;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

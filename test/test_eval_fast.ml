@@ -7,11 +7,16 @@
      expected), [count_runs] counts it, and the abstract fast path
      ([fold_abstracts], packed masks + lazy poset) yields runs equal to
      the [to_abstract] projections — [Run.Abstract.equal] forces the
-     mask-reconstructed poset against the concrete one.
+     mask-reconstructed poset against the concrete one — and every
+     leaf's packed masks equal the poset path's, through (4,3).
+   - limits: [is_sync]/[is_causal] equal their witness-producing
+     references on every B12-tier run and on random runs of up to 62
+     messages.
    - evaluator: on ≥ 500 random guarded predicates, [find_matches]
      (compiled, lex plan) is byte-for-byte the reference interpreter's
      match list, and [holds] (compiled, reordered plan) agrees as a
-     boolean — over mask-backed abstract runs of every standard size.
+     boolean — over mask-backed abstract runs of every standard size —
+     as does the monitor's [Eval.Masked] entry point fed the same rows.
    - large runs: with > 62 messages the packed masks are unavailable and
      everything must fall back to the Bitset/poset paths; the arms must
      still agree.
@@ -78,6 +83,88 @@ let test_abstract_fast_path () =
        path; the smaller sizes already cross every representation *)
     [ (2, 2); (3, 2); (2, 3) ]
 
+(* every kernel leaf de-interleaves to the packed rows the poset path
+   builds for the same run: both sides enumerate in the same order, so
+   pairwise, and as int arrays only — no poset is forced on the leaf
+   side, which keeps (4,3) cheap *)
+let test_leaf_masks () =
+  List.iter
+    (fun (nprocs, nmsgs) ->
+      List.iter
+        (fun msgs ->
+          let from_posets =
+            List.map
+              (fun r -> Run.Abstract.masks (Run.to_abstract r))
+              (Enumerate.runs ~nprocs ~msgs)
+          in
+          let from_leaves =
+            List.rev
+              (Enumerate.fold_abstracts ~nprocs ~msgs ~init:[]
+                 ~f:(fun acc a -> Run.Abstract.masks a :: acc))
+          in
+          check_int "same cardinality" (List.length from_posets)
+            (List.length from_leaves);
+          if from_posets <> from_leaves then
+            Alcotest.failf "leaf masks differ at (%d,%d), config %s" nprocs
+              nmsgs
+              (String.concat " "
+                 (Array.to_list
+                    (Array.map
+                       (fun (s, d) -> Printf.sprintf "%d>%d" s d)
+                       msgs))))
+        (Enumerate.configs ~nprocs ~nmsgs ()))
+    (standard_sizes @ [ (4, 3) ])
+
+(* ---- fast limit checks vs their witness references ---------------- *)
+
+let limits_agree r =
+  Limits.is_sync r = Result.is_ok (Limits.check_sync r)
+  && Limits.is_causal r = Result.is_ok (Limits.check_causal r)
+
+(* every run of the B12 tier, on the packed-mask path (the references
+   force the poset rebuilt from the same masks) *)
+let test_limits_universe () =
+  let runs = ref 0 and sync = ref 0 and causal = ref 0 in
+  List.iter
+    (fun (nprocs, nmsgs) ->
+      List.iter
+        (fun msgs ->
+          Enumerate.fold_abstracts ~nprocs ~msgs ~init:() ~f:(fun () r ->
+              if not (limits_agree r) then
+                Alcotest.failf "limit checks disagree at (%d,%d)" nprocs
+                  nmsgs;
+              incr runs;
+              if Limits.is_sync r then incr sync;
+              if Limits.is_causal r then incr causal))
+        (Enumerate.configs ~nprocs ~nmsgs ()))
+    Modelcheck.universe_sizes;
+  check_int "runs" 125_768 !runs;
+  check_int "causal" 63_364 !causal;
+  check_int "sync" 41_432 !sync
+
+(* random runs up to the 62-message mask capacity, drawn unconstrained,
+   causal and serialized so both verdicts of both checks occur *)
+let test_limits_random =
+  Prop.test ~count:300 ~seed:7 ~name:"limit checks = witnesses, random runs"
+    (fun rng ->
+      let nprocs = Prop.int_range 2 6 rng
+      and nmsgs = Prop.int_range 2 62 rng
+      and seed = Prop.int_range 0 1_000_000 rng in
+      let gen =
+        Prop.oneof
+          [
+            (fun () -> Mo_workload.Random_run.run ~nprocs ~nmsgs ~seed ());
+            (fun () ->
+              Mo_workload.Random_run.causal_run ~nprocs ~nmsgs ~seed ());
+            (fun () ->
+              Mo_workload.Random_run.serialized_run ~nprocs ~nmsgs ~seed ());
+          ]
+          rng
+      in
+      Run.to_abstract (gen ()))
+    ~pp:(fun r -> Printf.sprintf "a %d-message run" (Run.Abstract.nmsgs r))
+    (fun r -> Run.Abstract.masks r <> None && limits_agree r)
+
 (* ---- compiled evaluator vs reference interpreter ------------------ *)
 
 (* one shared pool of mask-backed abstract runs covering every standard
@@ -119,10 +206,65 @@ let gen_pred rng =
     ]
     rng
 
+(* the monitor's entry point fed a run's own packed rows: every message
+   live, attributes as int columns built from the records. It must agree
+   with the run evaluators, and a found assignment must check out. *)
+let masked_agrees p c r =
+  match Run.Abstract.masks r with
+  | None -> false
+  | Some masks ->
+      let n = Run.Abstract.nmsgs r in
+      let live = (1 lsl n) - 1 in
+      let col f =
+        Array.init n (fun i ->
+            Option.value (f (Run.Abstract.attrs r i)) ~default:(-1))
+      in
+      let src = col (fun a -> a.Run.src)
+      and dst = col (fun a -> a.Run.dst)
+      and color = col (fun a -> a.Run.color) in
+      List.for_all
+        (fun distinct ->
+          let u = Eval.Masked.make ~distinct c in
+          let held = Eval.Masked.holds u ~n ~live ~masks ~src ~dst ~color in
+          held = Eval.holds_c ~distinct c r
+          && held = Eval.holds_ref ~distinct p r
+          &&
+          match Eval.Masked.find u ~n ~live ~masks ~src ~dst ~color with
+          | None -> not held
+          | Some a ->
+              held
+              && Eval.check_assignment p r a
+              && ((not distinct)
+                 || List.length (List.sort_uniq compare (Array.to_list a))
+                    = Array.length a))
+        [ true; false ]
+
+(* a run and two twins with the same order: every attribute unknown (no
+   guard may hold), and colored [i mod 3] (the colors random predicates
+   test) *)
+let with_twins r =
+  match Run.Abstract.masks r with
+  | None -> [ r ]
+  | Some masks ->
+      let nmsgs = Run.Abstract.nmsgs r in
+      let twin f =
+        Run.Abstract.of_masks ~nmsgs
+          ~attrs:(Run.attr_table (Array.init nmsgs f))
+          masks
+      in
+      [
+        r;
+        twin (fun _ -> Run.no_attrs);
+        twin (fun i ->
+            { (Run.Abstract.attrs r i) with Run.color = Some (i mod 3) });
+      ]
+
 let agree_on_pred (p, runs) =
   let c = Eval.compile p in
   List.for_all
     (fun r ->
+      masked_agrees p c r
+      &&
       (* byte-for-byte: same matches, in the same order *)
       Eval.find_matches_ref p r = Eval.find_matches_c c r
       && Eval.find_match_ref p r = Eval.find_match_c c r
@@ -131,7 +273,7 @@ let agree_on_pred (p, runs) =
       && Eval.holds_ref p r = Eval.holds_c c r
       && Eval.holds_ref ~distinct:false p r
          = Eval.holds_c ~distinct:false c r)
-    runs
+    (List.concat_map with_twins runs)
 
 let test_eval_differential =
   Prop.test ~count:500 ~seed:42 ~name:"compiled = reference"
@@ -200,6 +342,14 @@ let () =
           Alcotest.test_case "run set = reference" `Slow test_run_sets;
           Alcotest.test_case "abstract fast path" `Slow
             test_abstract_fast_path;
+          Alcotest.test_case "leaf masks = poset masks" `Slow test_leaf_masks;
+        ] );
+      ( "limits",
+        [
+          Alcotest.test_case "B12 tier = witness references" `Slow
+            test_limits_universe;
+          Alcotest.test_case "random runs = witness references" `Quick
+            test_limits_random;
         ] );
       ( "evaluator",
         [

@@ -114,6 +114,22 @@ let test_lemma_3_3 () =
         (Lazy.force universe))
     Catalog.async_forms
 
+(* Modelcheck.verify prunes a decided subtree only when Forbidden.simplify
+   proves every async form unsatisfiable. It proves none of them (simplify
+   only catches single-variable contradictions), so verify walks every
+   canonical leaf. If a stronger simplify ever turns that prune on, this
+   fails, and the sym-vs-concrete differential of test_sym.ml is due a
+   deliberate re-check. *)
+let test_async_forms_not_static () =
+  Alcotest.(check int) "six async forms" 6 (List.length Catalog.async_forms);
+  List.iter
+    (fun (e : Catalog.entry) ->
+      check_bool e.name true
+        (match Forbidden.simplify e.pred with
+        | Forbidden.Simplified _ -> true
+        | Forbidden.Unsatisfiable -> false))
+    Catalog.async_forms
+
 (* Lemma 3.1 for k = 2: violating the crown is exactly failing SYNC, over
    runs with 2 messages; with 3 messages a longer crown can also break
    SYNC, so containment (not equality) is the claim there. *)
@@ -213,6 +229,8 @@ let () =
           Alcotest.test_case "3.2 equivalence" `Slow test_lemma_3_2_equivalence;
           Alcotest.test_case "X_B2 = X_co" `Slow test_causal_spec_is_causal_set;
           Alcotest.test_case "3.3 async forms" `Slow test_lemma_3_3;
+          Alcotest.test_case "async forms simplify, verify prunes nothing"
+            `Quick test_async_forms_not_static;
           Alcotest.test_case "crown-2 exact on pairs" `Slow
             test_crown2_exactness_on_pairs;
           Alcotest.test_case "crown family covers non-sync" `Slow
