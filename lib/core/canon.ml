@@ -171,8 +171,7 @@ let canonical_key t =
     in
     (nvars, Option.get best)
 
-let predicate t =
-  let nvars, (conjs, guards) = canonical_key t in
+let of_key (nvars, (conjs, guards)) =
   let conjuncts =
     List.map
       (fun (bv, bp, av, ap) ->
@@ -210,13 +209,25 @@ let render_key (nvars, (conjs, guards)) =
     guards;
   Buffer.contents buf
 
-let digest t = Digest.to_hex (Digest.string (render_key (canonical_key t)))
+let digest_of_key key = Digest.to_hex (Digest.string (render_key key))
+
+let predicate t = of_key (canonical_key t)
+
+let digest t = digest_of_key (canonical_key t)
+
+let canonical t =
+  let key = canonical_key t in
+  (of_key key, digest_of_key key)
 
 let equal a b = compare (canonical_key a) (canonical_key b) = 0
 
 let spec (s : Spec.t) =
   let members =
-    List.map (fun p -> (digest p, predicate p)) s.Spec.predicates
+    List.map
+      (fun p ->
+        let c, d = canonical p in
+        (d, c))
+      s.Spec.predicates
     |> List.sort (fun (d1, _) (d2, _) -> String.compare d1 d2)
   in
   let rec dedup = function

@@ -37,6 +37,10 @@ val digest : Forbidden.t -> string
     [predicate t]. Equal for alpha-equivalent predicates; independent of
     process, host and session. *)
 
+val canonical : Forbidden.t -> Forbidden.t * string
+(** [(predicate t, digest t)] from one canonicalization: what a payload
+    that reports both should call. *)
+
 val spec : Spec.t -> Spec.t
 (** Member predicates canonicalized, sorted by digest and deduplicated;
     the spec name is preserved (it is not part of {!spec_digest}). *)

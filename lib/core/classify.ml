@@ -14,6 +14,7 @@ type verdict = Not_implementable | Implementable of protocol_class
 type result = {
   verdict : verdict;
   orders : int list;
+  orders_truncated : bool;
   best_cycle : Cycles.cycle option;
   necessity_exact : bool;
   simplification : [ `None | `Dropped_tautologies | `Unsatisfiable ];
@@ -28,6 +29,7 @@ let classify p =
       {
         verdict = Implementable Tagless;
         orders = [];
+        orders_truncated = false;
         best_cycle = None;
         necessity_exact;
         simplification = `Unsatisfiable;
@@ -41,29 +43,25 @@ let classify p =
         else `Dropped_tautologies
       in
       let graph = Pgraph.of_predicate p' in
-      let cycles = Cycles.enumerate graph in
-      let with_orders =
-        List.map (fun c -> (Beta.order c, c)) cycles
-      in
-      let orders =
-        List.sort_uniq Int.compare (List.map fst with_orders)
-      in
-      let best_cycle =
-        match
-          List.sort (fun (a, _) (b, _) -> Int.compare a b) with_orders
-        with
-        | (_, c) :: _ -> Some c
-        | [] -> None
-      in
       let verdict =
-        match orders with
-        | [] -> Not_implementable
-        | least :: _ ->
-            if least = 0 then Implementable Tagless
-            else if least = 1 then Implementable Tagged
-            else Implementable General
+        match Cycles.least_order_capped graph with
+        | None -> Not_implementable
+        | Some 0 -> Implementable Tagless
+        | Some 1 -> Implementable Tagged
+        | Some _ -> Implementable General
       in
-      { verdict; orders; best_cycle; necessity_exact; simplification }
+      let { Cycles.orders; best = best_cycle; truncated = orders_truncated }
+          =
+        Cycles.orders graph
+      in
+      {
+        verdict;
+        orders;
+        orders_truncated;
+        best_cycle;
+        necessity_exact;
+        simplification;
+      }
 
 let explain ?result p =
   let buf = Buffer.create 512 in
@@ -95,6 +93,12 @@ let explain ?result p =
              X_sync.";
           line "verdict: NOT IMPLEMENTABLE."
       | Implementable cls -> (
+          if r.orders_truncated then
+            line
+              "the predicate graph has too many cycles to list every order \
+               within the search budget, so no certificate cycle is \
+               given; the verdict is exact, decided on the event graph \
+               (one node per x.s and x.r).";
           (match r.best_cycle with
           | Some cycle ->
               line "certificate cycle:  %s"
@@ -162,14 +166,18 @@ let verdict_to_string = function
 
 let pp_result ppf r =
   Format.fprintf ppf "@[<v>%s" (verdict_to_string r.verdict);
-  (match r.orders with
-  | [] -> Format.fprintf ppf " (no cycle in the predicate graph)"
-  | os ->
-      Format.fprintf ppf " (cycle orders: %a)"
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
-           Format.pp_print_int)
-        os);
+  let pp_orders =
+    Format.pp_print_list
+      ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
+      Format.pp_print_int
+  in
+  (match (r.orders, r.orders_truncated) with
+  | [], false -> Format.fprintf ppf " (no cycle in the predicate graph)"
+  | os, false -> Format.fprintf ppf " (cycle orders: %a)" pp_orders os
+  | [], true ->
+      Format.fprintf ppf " (cycle orders: truncated before any was found)"
+  | os, true ->
+      Format.fprintf ppf " (cycle orders: %a, truncated)" pp_orders os);
   (match r.best_cycle with
   | Some c -> Format.fprintf ppf "@ certificate cycle: %a" Cycles.pp_cycle c
   | None -> ());

@@ -10,6 +10,11 @@
     - otherwise control messages are necessary and sufficient
       ([X_sync ⊆ X_B] but [X_co ⊄ X_B]).
 
+    The verdict is decided in polynomial time on the event graph
+    ({!Cycles.least_order_capped}); the reported orders and certificate
+    come from {!Cycles.orders}, which lists no cycle and has a fixed work
+    budget.
+
     The necessity directions (Theorem 4) are proved for unguarded
     predicates; for guarded predicates the reported class is an upper bound
     (sufficiency still holds because guards only enlarge [X_B]), and
@@ -32,9 +37,17 @@ type verdict =
 type result = {
   verdict : verdict;
   orders : int list;
-      (** Sorted, deduplicated orders of all simple cycles found. *)
+      (** Sorted, deduplicated orders of all simple cycles: exact unless
+          [orders_truncated], then only the orders found within
+          {!Cycles.step_budget} (possibly none). *)
+  orders_truncated : bool;
+      (** The order set is incomplete (see {!Cycles.orders}). The verdict
+          is exact regardless: it comes from
+          {!Cycles.least_order_capped}. *)
   best_cycle : Cycles.cycle option;
-      (** A cycle of minimal order — the certificate behind the verdict. *)
+      (** The first cycle of least order in {!Cycles.enumerate}'s order —
+          the certificate behind the verdict. [None] when there is no
+          cycle or [orders_truncated]. *)
   necessity_exact : bool;
       (** [true] for unguarded predicates: the class is also necessary.
           [false] when guards are present (class is sufficient only) —

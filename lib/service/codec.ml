@@ -162,7 +162,7 @@ let result_of_response json =
 (* ---- result payloads (shared with the CLI --json output) --------- *)
 
 let classify_payload pred =
-  let canonical = Canon.predicate pred in
+  let canonical, digest = Canon.canonical pred in
   let r = Classify.classify canonical in
   let implementable, cls =
     match r.Classify.verdict with
@@ -170,32 +170,41 @@ let classify_payload pred =
     | Classify.Implementable c ->
         (true, J.String (Classify.class_to_string c))
   in
+  (* the flag appears only on truncated results, so every other payload
+     keeps its bytes *)
+  let truncated =
+    if r.Classify.orders_truncated then [ ("orders_truncated", J.Bool true) ]
+    else []
+  in
   J.Obj
-    [
-      ("predicate", J.String (Forbidden.to_string canonical));
-      ("digest", J.String (Canon.digest pred));
-      ("verdict", J.String (Classify.verdict_to_string r.Classify.verdict));
-      ("implementable", J.Bool implementable);
-      ("class", cls);
-      ("orders", J.List (List.map (fun o -> J.Int o) r.Classify.orders));
-      ("necessity_exact", J.Bool r.Classify.necessity_exact);
-      ( "simplification",
-        J.String
-          (match r.Classify.simplification with
-          | `None -> "none"
-          | `Dropped_tautologies -> "dropped-tautologies"
-          | `Unsatisfiable -> "unsatisfiable") );
-    ]
+    ([
+       ("predicate", J.String (Forbidden.to_string canonical));
+       ("digest", J.String digest);
+       ("verdict", J.String (Classify.verdict_to_string r.Classify.verdict));
+       ("implementable", J.Bool implementable);
+       ("class", cls);
+       ("orders", J.List (List.map (fun o -> J.Int o) r.Classify.orders));
+     ]
+    @ truncated
+    @ [
+        ("necessity_exact", J.Bool r.Classify.necessity_exact);
+        ( "simplification",
+          J.String
+            (match r.Classify.simplification with
+            | `None -> "none"
+            | `Dropped_tautologies -> "dropped-tautologies"
+            | `Unsatisfiable -> "unsatisfiable") );
+      ])
 
 let implies_payload a b =
-  let ca = Canon.predicate a and cb = Canon.predicate b in
+  let ca, da = Canon.canonical a and cb, db = Canon.canonical b in
   let fwd = Implies.check ca cb and bwd = Implies.check cb ca in
   J.Obj
     [
       ("pred", J.String (Forbidden.to_string ca));
       ("pred2", J.String (Forbidden.to_string cb));
-      ("digest", J.String (Canon.digest a));
-      ("digest2", J.String (Canon.digest b));
+      ("digest", J.String da);
+      ("digest2", J.String db);
       ("forward", J.Bool fwd);
       ("backward", J.Bool bwd);
       ( "relationship",
@@ -208,11 +217,11 @@ let implies_payload a b =
     ]
 
 let witness_payload pred =
-  let canonical = Canon.predicate pred in
+  let canonical, digest = Canon.canonical pred in
   let base =
     [
       ("predicate", J.String (Forbidden.to_string canonical));
-      ("digest", J.String (Canon.digest pred));
+      ("digest", J.String digest);
     ]
   in
   match Witness.build canonical with
@@ -309,7 +318,7 @@ let monitor_payload ?window pred ~trace =
 
 let lattice_payload ?(kmax = 3) ?(sym = true) pred =
   if kmax < 1 then raise (Bad_request "kmax must be >= 1");
-  let canonical = Canon.predicate pred in
+  let canonical, digest = Canon.canonical pred in
   (* an inline jobs=1 pool: lattice placements already run inside the
      engine's pool. The symmetry-quotiented walk is ~25x faster than the
      concrete one and gives a byte-identical placement (test_sym pins
@@ -326,7 +335,7 @@ let lattice_payload ?(kmax = 3) ?(sym = true) pred =
   J.Obj
     [
       ("predicate", J.String (Forbidden.to_string canonical));
-      ("digest", J.String (Canon.digest pred));
+      ("digest", J.String digest);
       ("kmax", J.Int kmax);
       ("runs", J.Int pl.Modelcheck.p_runs);
       ("spec_members", J.Int pl.Modelcheck.p_spec);

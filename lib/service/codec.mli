@@ -66,7 +66,9 @@ val result_of_response :
 
 val classify_payload : Mo_core.Forbidden.t -> Mo_obs.Jsonb.t
 (** Canonical predicate, digest, verdict, protocol class, cycle orders,
-    [necessity_exact] and the simplification outcome. The rendering is
+    [necessity_exact] and the simplification outcome. When the order set
+    is truncated ({!Mo_core.Classify.result}), ["orders_truncated": true]
+    follows ["orders"]; the field is absent otherwise. The rendering is
     of the {e canonical} form, so alpha-equivalent inputs produce
     byte-identical payloads — the invariant the decision cache relies
     on. *)

@@ -1,6 +1,8 @@
 module J = Mo_obs.Jsonb
 
-let version = 1
+(* 2: classify payloads may carry "orders_truncated", and version-1
+   files can hold answers computed under the old silent cycle cap *)
+let version = 2
 
 let to_json entries =
   J.Obj

@@ -7,7 +7,7 @@
     repeat query from the warm table instead of recomputing.
 
     The on-disk format is one compact JSON document
-    [{"version": 1, "entries": [[key, payload], ...]}], entries in the
+    [{"version": 2, "entries": [[key, payload], ...]}], entries in the
     order {!Cache.snapshot} emits (least-recently-used first within
     each stripe) so a load replays recency exactly.
 
@@ -16,7 +16,10 @@
     readers never observe a torn file. *)
 
 val version : int
-(** Current snapshot format version (1). *)
+(** Current snapshot format version (2). Version 1 snapshots are
+    refused: their classify entries were computed by a cycle enumeration
+    that stopped silently at 100,000 cycles, so some hold wrong
+    verdicts. *)
 
 val save : path:string -> (string * Mo_obs.Jsonb.t) list -> unit
 (** Atomically replace the snapshot at [path]. Raises [Sys_error] /

@@ -111,6 +111,12 @@ let idempotent p =
   Forbidden.equal c (Canon.predicate c)
   && String.equal (Canon.digest p) (Canon.digest c)
 
+(* the payloads canonicalize once through [canonical]; it must be the
+   pair the two separate calls give *)
+let canonical_pair p =
+  let c, d = Canon.canonical p in
+  Forbidden.equal c (Canon.predicate p) && String.equal d (Canon.digest p)
+
 (* hand-written sanity anchors *)
 
 let pred = Parse.predicate_exn
@@ -188,6 +194,9 @@ let () =
             (Prop.test ~count:400 ~seed:11 ~name:"canon is a fixpoint"
                gen_pred
                ~pp:Forbidden.to_string idempotent);
+          Alcotest.test_case "canonical = (predicate, digest)" `Quick
+            (Prop.test ~count:400 ~seed:13 ~name:"canonical pair" gen_pred
+               ~pp:Forbidden.to_string canonical_pair);
         ] );
       ( "unit",
         [

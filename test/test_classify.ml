@@ -84,6 +84,56 @@ let test_explain () =
   let e6 = Classify.explain Catalog.fifo.Catalog.pred in
   check_bool "guard caveat" true (contains e6 "guards present")
 
+(* every xi.s ▷ xj.r over 9 variables has more than 100,000 simple
+   cycles through x0 alone; one order-0 two-cycle makes B unsatisfiable.
+   A cycle listing that stops at a cap misses the order-0 cycle. *)
+let dense_complete n =
+  List.concat
+    (List.init n (fun i ->
+         List.filter_map
+           (fun j -> if i = j then None else Some (s i @> r j))
+           (List.init n Fun.id)))
+
+let test_dense_tagless () =
+  let p =
+    Forbidden.make ~nvars:9 (dense_complete 9 @ [ r 0 @> r 1; r 1 @> r 0 ])
+  in
+  let res = Classify.classify p in
+  Alcotest.check verdict "tagless" (Classify.Implementable Classify.Tagless)
+    res.verdict;
+  Alcotest.(check (list int)) "orders" (List.init 10 Fun.id) res.orders;
+  check_bool "exact" false res.orders_truncated;
+  Alcotest.(check (option string))
+    "certificate" (Some "x0.r < x1.r ; x1.r < x0.r")
+    (Option.map (Format.asprintf "%a" Cycles.pp_cycle) res.best_cycle)
+
+(* past the step budget the order set is marked truncated and no
+   certificate is given; the verdict still comes from the event graph *)
+let test_truncated () =
+  let p = Forbidden.make ~nvars:24 (dense_complete 24) in
+  let res = Classify.classify p in
+  check_bool "truncated" true res.orders_truncated;
+  check_bool "no certificate" true (res.best_cycle = None);
+  Alcotest.check verdict "general" (Classify.Implementable Classify.General)
+    res.verdict;
+  Alcotest.(check (option int))
+    "polynomial verdict" (Some 2)
+    (Cycles.least_order_capped (Pgraph.of_predicate p));
+  check_bool "pp says truncated" true
+    (contains (Format.asprintf "%a" Classify.pp_result res) "truncated");
+  check_bool "explain says truncated" true
+    (contains (Classify.explain ~result:res p) "too many cycles");
+  let payload =
+    Mo_obs.Jsonb.to_string (Mo_service.Codec.classify_payload p)
+  in
+  check_bool "payload flags it" true
+    (contains payload "\"orders_truncated\":true");
+  check_bool "exact payloads carry no flag" false
+    (contains
+       (Mo_obs.Jsonb.to_string
+          (Mo_service.Codec.classify_payload Catalog.causal_b2.Catalog.pred))
+       "orders_truncated")
+
 let test_class_order () =
   check_bool "tagless <= tagged" true
     (Classify.class_leq Classify.Tagless Classify.Tagged);
@@ -169,6 +219,9 @@ let () =
           Alcotest.test_case "necessity flag" `Quick test_necessity_flag;
           Alcotest.test_case "explain" `Quick test_explain;
           Alcotest.test_case "class order" `Quick test_class_order;
+          Alcotest.test_case "dense 9-variable predicate" `Quick
+            test_dense_tagless;
+          Alcotest.test_case "truncated order set" `Quick test_truncated;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -324,7 +324,10 @@ let test_persist_roundtrip () =
   write "{\"version\":99,\"entries\":[]}";
   check_bool "wrong version is an error" true
     (Result.is_error (Persist.load ~path));
-  write "{\"version\":1,\"entries\":[[1,2]]}";
+  write "{\"version\":1,\"entries\":[]}";
+  check_bool "a version-1 snapshot is refused" true
+    (Result.is_error (Persist.load ~path));
+  write "{\"version\":2,\"entries\":[[1,2]]}";
   check_bool "malformed entry is an error" true
     (Result.is_error (Persist.load ~path));
   Sys.remove path
@@ -1165,6 +1168,49 @@ let test_daemon_persist_warm_restart () =
   graceful_shutdown pid2 path;
   Sys.remove snap
 
+(* a version-1 snapshot may hold answers from the old silent cycle cap:
+   the daemon refuses it, starts cold and recomputes *)
+let test_daemon_persist_v1_cold () =
+  let path = tmp_sock "persistv1" in
+  let snap = Filename.temp_file "mo-snapv1" ".json" in
+  rm path;
+  let key = "c:" ^ Mo_core.Canon.digest (pred causal) in
+  let oc = open_out snap in
+  output_string oc
+    (J.to_string
+       (J.Obj
+          [
+            ("version", J.Int 1);
+            ( "entries",
+              J.List
+                [
+                  J.List
+                    [ J.String key; J.Obj [ ("verdict", J.String "general") ] ];
+                ] );
+          ]));
+  close_out oc;
+  let pid = spawn_daemon ~extra:[ "--persist"; snap ] path in
+  (match Client.connect_addr ~retry:smoke_retry (Client.Uds path) with
+  | Error e ->
+      Unix.kill pid Sys.sigkill;
+      Alcotest.fail e
+  | Ok c ->
+      let call req =
+        match Client.call c req with
+        | Ok payload -> payload
+        | Error e ->
+            Unix.kill pid Sys.sigkill;
+            Alcotest.fail e
+      in
+      check_int "nothing loaded" 0 (cache_counter (call Codec.Stats) "loaded");
+      check_string "recomputed, not the stale entry"
+        (J.to_string (Codec.classify_payload (pred causal)))
+        (J.to_string (call (Codec.Classify (pred causal))));
+      check_int "a cold miss" 1 (cache_counter (call Codec.Stats) "misses");
+      Client.close c);
+  graceful_shutdown pid path;
+  Sys.remove snap
+
 let metrics_counter stats name =
   match field "metrics" stats with
   | J.Obj fields -> (
@@ -1347,6 +1393,8 @@ let () =
           Alcotest.test_case "tcp transport" `Quick test_tcp_round_trip;
           Alcotest.test_case "persist warm restart" `Quick
             test_daemon_persist_warm_restart;
+          Alcotest.test_case "version-1 snapshot starts cold" `Quick
+            test_daemon_persist_v1_cold;
           Alcotest.test_case "persist interval survives kill -9" `Quick
             test_daemon_persist_interval;
         ] );
