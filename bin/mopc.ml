@@ -931,8 +931,8 @@ let lattice_run json kmax sym jobs input =
       prerr_endline e;
       1
   | Ok pred ->
-      if kmax < 1 then begin
-        Format.eprintf "--kmax must be >= 1@.";
+      if kmax < 1 || kmax > Mo_service.Codec.max_kmax then begin
+        Format.eprintf "--kmax must be in 1..%d@." Mo_service.Codec.max_kmax;
         1
       end
       else if json then begin
@@ -964,9 +964,9 @@ let lattice_cmd =
       & opt int 3
       & info [ "kmax" ] ~docv:"K"
           ~doc:
-            "largest k-synchronous point swept; honored by $(b,--json) \
-             too (the service payload carries its kmax, and mopcd caches \
-             per kmax)")
+            "largest k-synchronous point swept, at most 64; honored by \
+             $(b,--json) too (the service payload carries its kmax, and \
+             mopcd caches per kmax)")
   in
   Cmd.v (Cmd.info "lattice" ~doc)
     T.(const lattice_run $ json_flag $ kmax $ sym_flag $ jobs_arg $ pred_arg)

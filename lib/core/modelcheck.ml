@@ -301,162 +301,223 @@ type placement = {
   p_guarantees : Lattice.model list;
 }
 
-type pacc = {
-  pa_runs : int;
-  pa_spec : int;
-  pa_members : int array;
-  pa_inter : int array;
-  pa_cont : bool array; (* X_M ⊆ X_B so far *)
-  pa_contby : bool array; (* X_B ⊆ X_M so far *)
+(* The lattice points whose membership does not depend on [kmax], one
+   bit each in a leaf's [bits]. [Ksync k] is read off the leaf's largest
+   message-graph SCC instead, so one table serves every sweep. *)
+let fixed_points =
+  Lattice.[| Rsc; Fifo_nn; Causal; Fifo_1n; Fifo_n1; Fifo_11; Async |]
+
+(* a swept point as a membership test on a leaf's (bits, scc) *)
+type test = Bit of int | Scc_le of int
+
+let test_of = function
+  | Lattice.Ksync k when k >= 2 -> Scc_le k
+  | m ->
+      (* Lattice.equal raises on Ksync k < 1, as Lattice.is_member *)
+      let rec find i =
+        if Lattice.equal fixed_points.(i) m then Bit i else find (i + 1)
+      in
+      find 0
+
+let passes test ~bits ~scc =
+  match test with Bit i -> bits land (1 lsl i) <> 0 | Scc_le k -> scc <= k
+
+(* One canonical leaf of the symmetry quotient: its run, the number of
+   concrete runs it stands for (config orbit size × sym_mult) and its
+   spec-independent lattice memberships. *)
+type leaf = { run : Run.Abstract.t; mult : int; bits : int; scc : int }
+
+type table = {
+  leaves : leaf array;
+  runs : int; (* Σ mult *)
+  fixed_members : int array; (* Σ mult per fixed point *)
+  scc_members : int array; (* .(s) = Σ mult over leaves with scc ≤ s *)
 }
+
+let build_table ~nprocs ~nmsgs =
+  let leaves =
+    List.concat_map
+      (fun (msgs, cmult) ->
+        let mult = cmult * Enumerate.sym_mult ~msgs in
+        Enumerate.fold_abstracts_sym ~nprocs ~msgs ~init:[]
+          ~f:(fun acc run ->
+            let bits = ref 0 in
+            Array.iteri
+              (fun i m ->
+                if Lattice.is_member m run then bits := !bits lor (1 lsl i))
+              fixed_points;
+            { run; mult; bits = !bits; scc = Lattice.max_scc run } :: acc)
+          ())
+      (Enumerate.configs_sym ~nprocs ~nmsgs ())
+    |> Array.of_list
+  in
+  let sum keep =
+    Array.fold_left
+      (fun acc l -> if keep l then acc + l.mult else acc)
+      0 leaves
+  in
+  {
+    leaves;
+    runs = sum (fun _ -> true);
+    fixed_members =
+      Array.init (Array.length fixed_points) (fun i ->
+          sum (fun l -> l.bits land (1 lsl i) <> 0));
+    scc_members = Array.init (nmsgs + 1) (fun s -> sum (fun l -> l.scc <= s));
+  }
+
+(* One table per size, built on first use and kept for the process.
+   Readers take the published list without locking; a miss builds under
+   [tables_lock] after a re-check, so domains racing to the first
+   request build each size once. Not a bare [Lazy]: forcing one from two
+   domains raises [CamlinternalLazy.Undefined]. The build walks
+   sequentially, so it never re-enters a pool from inside a worker. The
+   leaves carry their packed masks, which the compiled evaluator only
+   reads, so every domain may share them. *)
+let tables : ((int * int) * table) list Atomic.t = Atomic.make []
+
+let tables_lock = Mutex.create ()
+
+let table size =
+  match List.assoc_opt size (Atomic.get tables) with
+  | Some t -> t
+  | None ->
+      Mutex.protect tables_lock (fun () ->
+          match List.assoc_opt size (Atomic.get tables) with
+          | Some t -> t
+          | None ->
+              let nprocs, nmsgs = size in
+              let t = build_table ~nprocs ~nmsgs in
+              Atomic.set tables ((size, t) :: Atomic.get tables);
+              t)
+
+let members tbl = function
+  | Bit i -> tbl.fixed_members.(i)
+  | Scc_le k -> tbl.scc_members.(min k (Array.length tbl.scc_members - 1))
+
+(* the counts a placement is rendered from, per swept point *)
+type tally = {
+  mutable t_runs : int;
+  mutable t_spec : int;
+  t_members : int array;
+  t_inter : int array;
+}
+
+let tally_zero nm =
+  {
+    t_runs = 0;
+    t_spec = 0;
+    t_members = Array.make nm 0;
+    t_inter = Array.make nm 0;
+  }
+
+let tally_sum x y =
+  {
+    t_runs = x.t_runs + y.t_runs;
+    t_spec = x.t_spec + y.t_spec;
+    t_members = Array.map2 ( + ) x.t_members y.t_members;
+    t_inter = Array.map2 ( + ) x.t_inter y.t_inter;
+  }
+
+(* one pass of the compiled spec over each size's leaf table; the
+   member counts are the table's precomputed sums *)
+let tally_sym models plan sizes =
+  let tests = Array.map test_of models in
+  let t = tally_zero (Array.length models) in
+  List.iter
+    (fun size ->
+      let tbl = table size in
+      t.t_runs <- t.t_runs + tbl.runs;
+      Array.iteri
+        (fun i test -> t.t_members.(i) <- t.t_members.(i) + members tbl test)
+        tests;
+      Array.iter
+        (fun l ->
+          if Eval.satisfies_c plan l.run then begin
+            t.t_spec <- t.t_spec + l.mult;
+            Array.iteri
+              (fun i test ->
+                if passes test ~bits:l.bits ~scc:l.scc then
+                  t.t_inter.(i) <- t.t_inter.(i) + l.mult)
+              tests
+          end)
+        tbl.leaves)
+    sizes;
+  t
+
+(* The concrete oracle: every run of every configuration, one shard per
+   configuration with its own tally, summed in configuration order. *)
+let tally_concrete ~pool models plan sizes =
+  let nm = Array.length models in
+  let add t r =
+    let sat = Eval.satisfies_c plan r in
+    t.t_runs <- t.t_runs + 1;
+    if sat then t.t_spec <- t.t_spec + 1;
+    Array.iteri
+      (fun i m ->
+        if Lattice.is_member m r then begin
+          t.t_members.(i) <- t.t_members.(i) + 1;
+          if sat then t.t_inter.(i) <- t.t_inter.(i) + 1
+        end)
+      models;
+    t
+  in
+  List.fold_left
+    (fun acc (nprocs, nmsgs) ->
+      let cfgs = Array.of_list (Enumerate.configs ~nprocs ~nmsgs ()) in
+      Mo_par.Pool.fold pool (Array.length cfgs)
+        ~f:(fun i ->
+          Enumerate.fold_abstracts ~nprocs ~msgs:cfgs.(i)
+            ~init:(tally_zero nm) ~f:add)
+        ~merge:tally_sum ~init:acc)
+    (tally_zero nm) sizes
 
 let placement ?pool ?(kmax = 3) ?(sym = false) ~sizes pred =
   let models = Array.of_list (Lattice.points ~kmax ()) in
-  let nm = Array.length models in
-  (* compiled before the worker shards run, as [verify] *)
+  (* compiled before any worker shard runs, as [verify] *)
   let plan = Eval.compile pred in
-  let init =
-    {
-      pa_runs = 0;
-      pa_spec = 0;
-      pa_members = Array.make nm 0;
-      pa_inter = Array.make nm 0;
-      pa_cont = Array.make nm true;
-      pa_contby = Array.make nm true;
-    }
+  let t =
+    if sym then tally_sym models plan sizes
+    else with_pool pool (fun pool -> tally_concrete ~pool models plan sizes)
   in
-  (* per-run copies keep the shard accumulators disjoint, as the
-     monitor pass; everything reduces by sums and conjunctions, so the
-     verdict is identical at every job count *)
-  let step ~mult acc r =
-    let sat = Eval.satisfies_c plan r in
-    let members = Array.copy acc.pa_members
-    and inter = Array.copy acc.pa_inter
-    and cont = Array.copy acc.pa_cont
-    and contby = Array.copy acc.pa_contby in
-    for i = 0 to nm - 1 do
-      let m = Lattice.is_member models.(i) r in
-      if m then begin
-        members.(i) <- members.(i) + mult;
-        if sat then inter.(i) <- inter.(i) + mult else cont.(i) <- false
-      end
-      else if sat then contby.(i) <- false
-    done;
-    {
-      pa_runs = acc.pa_runs + mult;
-      pa_spec = (acc.pa_spec + if sat then mult else 0);
-      pa_members = members;
-      pa_inter = inter;
-      pa_cont = cont;
-      pa_contby = contby;
-    }
+  (* every run counts at least once, so the inclusions follow from the
+     counts: X_M ⊆ X_B iff |X_M ∩ X_B| = |X_M|, and dually *)
+  let places =
+    List.init (Array.length models) (fun i ->
+        {
+          pl_model = models.(i);
+          pl_members = t.t_members.(i);
+          pl_inter = t.t_inter.(i);
+          pl_model_in_spec = t.t_inter.(i) = t.t_members.(i);
+          pl_spec_in_model = t.t_inter.(i) = t.t_spec;
+        })
   in
-  let merge x y =
-    {
-      pa_runs = x.pa_runs + y.pa_runs;
-      pa_spec = x.pa_spec + y.pa_spec;
-      pa_members =
-        Array.init nm (fun i -> x.pa_members.(i) + y.pa_members.(i));
-      pa_inter = Array.init nm (fun i -> x.pa_inter.(i) + y.pa_inter.(i));
-      pa_cont = Array.init nm (fun i -> x.pa_cont.(i) && y.pa_cont.(i));
-      pa_contby = Array.init nm (fun i -> x.pa_contby.(i) && y.pa_contby.(i));
-    }
-  in
-  (* Decided-subtree prune, per size: the spec's pattern has matched
-     (Eval.holds_c is monotone, so no completion satisfies the spec) and
-     every lattice point's membership is constant over the subtree —
-     either statically true at this size (Async; Ksync k with k ≥ nmsgs,
-     since no SCC can exceed the message count) or already violated
-     (every non-membership witness is a present structure: a cycle, a
-     large SCC, an overtaking pair — all monotone). Pruned runs are
-     members of exactly the statically-true points, with empty spec
-     intersection. *)
-  let prune_for nmsgs =
-    let trivially_in =
-      Array.map
-        (function
-          | Lattice.Async -> true
-          | Lattice.Ksync k -> k >= nmsgs
-          | _ -> false)
-        models
+  let chosen keep extreme =
+    let set =
+      List.filter_map
+        (fun p -> if keep p then Some p.pl_model else None)
+        places
     in
-    let decided a =
-      Eval.holds_c plan a
-      && Array.for_all2
-           (fun triv m -> triv || not (Lattice.is_member m a))
-           trivially_in models
-    in
-    let on_pruned acc ~mult ~runs _a =
-      let members = Array.copy acc.pa_members
-      and cont = Array.copy acc.pa_cont in
-      for i = 0 to nm - 1 do
-        if trivially_in.(i) then begin
-          members.(i) <- members.(i) + (mult * runs);
-          cont.(i) <- false
-        end
-      done;
-      {
-        acc with
-        pa_runs = acc.pa_runs + (mult * runs);
-        pa_members = members;
-        pa_cont = cont;
-      }
-    in
-    (decided, on_pruned)
+    List.filter
+      (fun m ->
+        not
+          (List.exists
+             (fun m' -> (not (Lattice.equal m m')) && extreme m m')
+             set))
+      set
   in
-  with_pool pool (fun pool ->
-      let total =
-        List.fold_left
-          (fun acc (nprocs, nmsgs) ->
-            merge acc
-              (if sym then
-                 Enumerate.fold_abstracts_sym_par ~pool ~nprocs ~nmsgs
-                   ~prune:(prune_for nmsgs) ~init
-                   ~f:(fun acc ~mult r -> step ~mult acc r)
-                   ~merge ()
-               else
-                 Enumerate.fold_abstracts_par ~pool ~nprocs ~nmsgs ~init
-                   ~f:(fun acc r -> step ~mult:1 acc r)
-                   ~merge ()))
-          init sizes
-      in
-      let places =
-        List.init nm (fun i ->
-            {
-              pl_model = models.(i);
-              pl_members = total.pa_members.(i);
-              pl_inter = total.pa_inter.(i);
-              pl_model_in_spec = total.pa_cont.(i);
-              pl_spec_in_model = total.pa_contby.(i);
-            })
-      in
-      let chosen keep extreme =
-        let set =
-          List.filteri (fun i _ -> keep i) (Array.to_list models)
-        in
-        List.filter
-          (fun m ->
-            not
-              (List.exists
-                 (fun m' -> (not (Lattice.equal m m')) && extreme m m')
-                 set))
-          set
-      in
-      {
-        p_runs = total.pa_runs;
-        p_spec = total.pa_spec;
-        p_places = places;
-        (* strongest guarantee: maximal models whose runs all satisfy
-           the spec *)
-        p_sufficient =
-          chosen (fun i -> total.pa_cont.(i)) (fun m m' -> Lattice.leq m m');
-        (* weakest model already implied by the spec: minimal models
-           containing every satisfying run *)
-        p_guarantees =
-          chosen
-            (fun i -> total.pa_contby.(i))
-            (fun m m' -> Lattice.leq m' m);
-      })
+  {
+    p_runs = t.t_runs;
+    p_spec = t.t_spec;
+    p_places = places;
+    (* strongest guarantee: maximal models whose runs all satisfy the
+       spec *)
+    p_sufficient =
+      chosen (fun p -> p.pl_model_in_spec) (fun m m' -> Lattice.leq m m');
+    (* weakest model already implied by the spec: minimal models
+       containing every satisfying run *)
+    p_guarantees =
+      chosen (fun p -> p.pl_spec_in_model) (fun m m' -> Lattice.leq m' m);
+  }
 
 let pp_placement ppf p =
   Format.fprintf ppf "universe: %d runs, |X_B| = %d@." p.p_runs p.p_spec;

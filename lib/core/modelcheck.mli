@@ -55,7 +55,7 @@ val verify :
     {!Mo_par.default_jobs} workers. [sym] (default false) switches to
     the symmetry-quotiented kernel ({!Mo_order.Enumerate.fold_abstracts_sym_par}):
     one canonical representative per orbit, counts expanded by exact
-    orbit sizes, decided subtrees pruned — the verdict is identical
+    orbit sizes — the verdict is identical
     (verdicts are orbit-invariant; checked exhaustively by
     test/test_sym.ml), the wall time is not. *)
 
@@ -127,12 +127,23 @@ val placement :
   sizes:(int * int) list ->
   Forbidden.t ->
   placement
-(** One enumeration pass over [sizes], evaluating the compiled
-    predicate and all lattice memberships per run. [kmax] (default 3)
-    bounds the k-synchronous points swept. [sym] (default false) runs
-    the quotiented kernel: member counts become exact orbit sums
-    (lattice membership is orbit-invariant), byte-identical to the
-    concrete pass at every job count. *)
+(** [kmax] (default 3) bounds the k-synchronous points swept.
+
+    With [sym] false (the default) this is the concrete oracle: one
+    enumeration pass over every run of [sizes] on [pool], evaluating the
+    compiled predicate and every lattice membership per run.
+
+    With [sym] true it answers from a table of the canonical leaves of
+    the symmetry quotient, built on first use per [(nprocs, nmsgs)] and
+    kept for the process (1,137 leaves over {!universe_sizes}). Each
+    leaf carries its orbit weight and its memberships, so member counts
+    are precomputed sums and a request is one pass of the compiled
+    predicate over the leaves; [pool] is not used. The first build is
+    safe when several domains race to it. The result is byte-identical
+    to the concrete pass at every [kmax] and job count.
+
+    Both inclusions follow from the counts: [X_M ⊆ X_B] iff
+    [|X_M ∩ X_B| = |X_M|], and [X_B ⊆ X_M] iff [|X_M ∩ X_B| = |X_B|]. *)
 
 val pp_placement : Format.formatter -> placement -> unit
 
@@ -140,6 +151,7 @@ val count :
   ?pool:Mo_par.Pool.t -> ?sym:bool -> sizes:(int * int) list -> unit -> counts
 (** Just the limit-set cardinalities (skips the predicate evaluations);
     at the standard sizes this is the pinned [1424 ⊆ 1840 ⊆ 2804].
-    [sym] as in {!verify}. *)
+    [sym] as in {!verify}, with subtrees where causality and synchrony
+    are both already broken collapsed into one memoized count. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit

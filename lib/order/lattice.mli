@@ -66,6 +66,12 @@ val is_member : model -> Run.Abstract.t -> bool
     with a {!Bitset} fallback over {!Run.Abstract.relations} otherwise.
     @raise Invalid_argument on [Ksync k] with [k < 1]. *)
 
+val max_scc : Run.Abstract.t -> int
+(** The number of messages in the largest strongly connected component
+    of the message graph ([nmsgs] when that is 0 or 1): [is_member
+    (Ksync k) r] is exactly [max_scc r <= k], so one count answers every
+    [k]. *)
+
 val check : model -> Run.Abstract.t -> (unit, violation) result
 (** The witness-producing reference: recomputes membership over
     {!Run.Abstract.lt} / {!Run.Abstract.message_graph} without touching

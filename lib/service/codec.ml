@@ -16,6 +16,8 @@ and envelope = { id : int; deadline_ms : int option; req : request }
 
 exception Bad_request of string
 
+let max_kmax = 64
+
 (* ---- JSON helpers ------------------------------------------------ *)
 
 let member key = function J.Obj fields -> List.assoc_opt key fields | _ -> None
@@ -81,7 +83,8 @@ let rec envelope_of_json ~allow_batch json =
       | "lattice" -> (
           Result.bind (pred_field "pred") (fun p ->
               match Option.bind (member "kmax" json) to_int with
-              | Some k when k < 1 -> fail "\"kmax\" must be >= 1"
+              | Some k when k < 1 || k > max_kmax ->
+                  fail (Printf.sprintf "\"kmax\" must be in 1..%d" max_kmax)
               | kmax -> wrap (Lattice (p, kmax))))
       | "stats" -> wrap Stats
       | "shutdown" -> wrap Shutdown
@@ -317,16 +320,16 @@ let monitor_payload ?window pred ~trace =
             ])
 
 let lattice_payload ?(kmax = 3) ?(sym = true) pred =
-  if kmax < 1 then raise (Bad_request "kmax must be >= 1");
+  if kmax < 1 || kmax > max_kmax then
+    raise (Bad_request (Printf.sprintf "kmax must be in 1..%d" max_kmax));
   let canonical, digest = Canon.canonical pred in
-  (* an inline jobs=1 pool: lattice placements already run inside the
-     engine's pool. The symmetry-quotiented walk is ~25x faster than the
-     concrete one and gives a byte-identical placement (test_sym pins
-     the two payloads against each other). *)
+  (* The quotiented placement is one pass over the process-wide leaf
+     table, with no pool; it renders byte for byte what the concrete
+     walk renders (test_sym and test_leaf_table pin the two payloads
+     against each other). *)
   let pl =
-    Modelcheck.placement
-      ~pool:(Mo_par.Pool.create ~jobs:1 ())
-      ~kmax ~sym ~sizes:Modelcheck.universe_sizes canonical
+    Modelcheck.placement ~kmax ~sym ~sizes:Modelcheck.universe_sizes
+      canonical
   in
   let names ms =
     J.List

@@ -28,8 +28,9 @@ type request =
       (** [(pred, kmax)]: place the spec's run set against every point
           of the communication-model lattice over the 125,768-run
           standard universe ({!Mo_core.Modelcheck.placement}). [kmax]
-          (default 3) bounds the k-synchronous points swept. Cached
-          under the canonical digest {e and} kmax, like [classify]. *)
+          (default 3) bounds the k-synchronous points swept and must lie
+          in [1 .. ]{!max_kmax}. Cached under the canonical digest
+          {e and} kmax, like [classify]. *)
   | Stats
   | Shutdown
   | Batch of envelope list
@@ -101,7 +102,14 @@ val lattice_payload :
     concrete run — same payload, byte for byte. Rendered from
     the canonical form, so alpha-equivalent inputs produce
     byte-identical payloads — the cache invariant of
-    {!classify_payload}. @raise Bad_request when [kmax < 1]. *)
+    {!classify_payload}. @raise Bad_request when [kmax] is outside
+    [1 .. ]{!max_kmax}. *)
+
+val max_kmax : int
+(** 64: the widest k-synchronous sweep a lattice request may ask for.
+    Every run of the placement universe has at most 4 messages, so
+    [Ksync k] for [k >= 4] already equals [Async]; the bound keeps a
+    hostile [kmax] from building a huge model list. *)
 
 (** {1 Framing} *)
 

@@ -16,7 +16,13 @@
      hasse lists exactly the covering pairs;
    - Modelcheck.placement verdicts are byte-identical at jobs 1/2/4 and
      recover the exact identities X_fifo = X_fifo-11 and
-     X_causal_b2 = X_causal. *)
+     X_causal_b2 = X_causal;
+   - the quotiented placement's leaf table carries the pinned member
+     counts;
+   - Theorem 1's required direction: every tagless, tagged or general
+     verdict's inclusion X_async, X_co or X_sync ⊆ X_B holds over the
+     universe tier, for the catalog and 1,200 seeded random
+     predicates. *)
 
 open Mo_core
 open Mo_order
@@ -407,6 +413,94 @@ let test_placement_jobs_deterministic () =
         rest
   | [] -> assert false
 
+(* The quotiented placement answers from a table of canonical leaves
+   built once per size: its runs are the universe, and its member counts
+   are the concrete sweep's pins above. Every run has at most 4
+   messages, so every Ksync k with k >= 4 holds the whole universe. *)
+let test_leaf_table_pinned () =
+  let p =
+    Modelcheck.placement ~sym:true ~kmax:6 ~sizes:Modelcheck.universe_sizes
+      Catalog.fifo.Catalog.pred
+  in
+  check_int "Σ mult over the leaves" 125_768 p.Modelcheck.p_runs;
+  List.iter
+    (fun pl ->
+      let m = pl.Modelcheck.pl_model in
+      let want =
+        match List.assoc_opt m pinned_members with
+        | Some n -> n
+        | None -> 125_768 (* Ksync 4 .. 6 *)
+      in
+      check_int ("table members of " ^ Lattice.to_string m) want
+        pl.Modelcheck.pl_members)
+    p.Modelcheck.p_places;
+  check_int "kmax 6 sweeps twelve points" 12
+    (List.length p.Modelcheck.p_places)
+
+(* Theorem 1, the direction each verdict requires: a tagless spec holds
+   on every asynchronous run, a tagged one on every causal run, a
+   general one on every synchronous run (guards only enlarge X_B, so
+   this holds for guarded specs too). Checked as X_M ⊆ X_B on the
+   universe tier for the catalog and seeded random predicates of at most
+   4 variables. The other direction, a separating run for each inclusion
+   a verdict denies, is not checked here. *)
+let test_theorem1_required () =
+  let named prefix gen n =
+    List.init n (fun seed ->
+        (Printf.sprintf "%s seed %d" prefix seed, gen ~seed))
+  in
+  let preds =
+    List.map (fun (e : Catalog.entry) -> (e.Catalog.name, e.Catalog.pred))
+      Catalog.all
+    @ named "random"
+        (fun ~seed -> Mo_workload.Random_pred.predicate ~max_vars:4 ~seed ())
+        1000
+    @ named "guarded"
+        (fun ~seed ->
+          Mo_workload.Random_pred.guarded_predicate ~max_vars:4 ~seed ())
+        200
+  in
+  let per_class = Hashtbl.create 3 in
+  let failures =
+    List.filter_map
+      (fun (name, p) ->
+        match (Classify.classify p).Classify.verdict with
+        | Classify.Not_implementable -> None
+        | Classify.Implementable cls ->
+            let required =
+              match cls with
+              | Classify.Tagless -> Lattice.Async
+              | Classify.Tagged -> Lattice.Causal
+              | Classify.General -> Lattice.Rsc
+            in
+            Hashtbl.replace per_class cls
+              (1 + Option.value ~default:0 (Hashtbl.find_opt per_class cls));
+            let pl =
+              Modelcheck.placement ~sym:true ~kmax:1
+                ~sizes:Modelcheck.universe_sizes p
+            in
+            let row =
+              List.find
+                (fun r -> Lattice.equal r.Modelcheck.pl_model required)
+                pl.Modelcheck.p_places
+            in
+            if row.Modelcheck.pl_model_in_spec then None
+            else
+              Some
+                (Printf.sprintf "%s (%s): X_%s not inside X_B" name
+                   (Classify.class_to_string cls)
+                   (Lattice.to_string required)))
+      preds
+  in
+  Alcotest.(check (list string)) "every required inclusion holds" [] failures;
+  List.iter
+    (fun cls ->
+      check_bool
+        (Classify.class_to_string cls ^ " verdicts were checked")
+        true
+        (Hashtbl.mem per_class cls))
+    [ Classify.Tagless; Classify.Tagged; Classify.General ]
+
 let () =
   Alcotest.run "lattice"
     [
@@ -438,5 +532,9 @@ let () =
             test_placement_exact;
           Alcotest.test_case "jobs-independent verdicts" `Slow
             test_placement_jobs_deterministic;
+          Alcotest.test_case "leaf table pinned" `Quick
+            test_leaf_table_pinned;
+          Alcotest.test_case "Theorem 1, required direction" `Quick
+            test_theorem1_required;
         ] );
     ]

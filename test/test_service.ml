@@ -737,6 +737,43 @@ let test_lattice_op () =
   | Error (10, _) -> ()
   | _ -> Alcotest.fail "kmax 0 was not rejected"
 
+(* a hostile kmax is refused before any placement runs: at parse time on
+   the wire, and in the payload builder for requests built in-process *)
+let test_lattice_kmax_bound () =
+  let t = Engine.create ~cache_capacity:16 () in
+  let cache_size () =
+    let stats = ok_result (Engine.handle t (envelope Codec.Stats)) in
+    match field "cache" stats with
+    | J.Obj fs -> List.assoc "size" fs
+    | _ -> Alcotest.fail "cache stats shape"
+  in
+  List.iter
+    (fun kmax ->
+      (match
+         Codec.result_of_response
+           (Engine.handle t
+              (envelope ~id:2 (Codec.Lattice (pred fifo, Some kmax))))
+       with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail (Printf.sprintf "kmax %d was served" kmax));
+      match
+        Codec.request_of_json
+          (J.Obj
+             [ ("id", J.Int 3); ("op", J.String "lattice");
+               ("pred", J.String fifo); ("kmax", J.Int kmax) ])
+      with
+      | Error (3, _) -> ()
+      | _ -> Alcotest.fail (Printf.sprintf "kmax %d parsed" kmax))
+    [ Codec.max_kmax + 1; max_int ];
+  check_bool "refused placements are not cached" true
+    (cache_size () = J.Int 0);
+  check_bool "the bound itself is served" true
+    (field "kmax"
+       (ok_result
+          (Engine.handle t
+             (envelope (Codec.Lattice (pred fifo, Some Codec.max_kmax)))))
+    = J.Int Codec.max_kmax)
+
 (* ---- the service edge: connect retry and crash-tolerant startup ---- *)
 
 module Client = Mo_service.Client
@@ -1002,6 +1039,38 @@ let test_daemon_jobs_determinism () =
   let r1 = run 1 in
   check_string "jobs 1 = jobs 2" r1 (run 2);
   check_string "jobs 1 = jobs 4" r1 (run 4)
+
+(* the daemon answers a hostile kmax with an error at once, keeps
+   serving the connection, and caches nothing *)
+let test_daemon_kmax_bound () =
+  let path = tmp_sock "kmax" in
+  rm path;
+  let pid = spawn_daemon path in
+  (match Client.connect_addr ~retry:smoke_retry (Client.Uds path) with
+  | Error e ->
+      Unix.kill pid Sys.sigkill;
+      Alcotest.fail e
+  | Ok c ->
+      List.iter
+        (fun kmax ->
+          match Client.call c (Codec.Lattice (pred fifo, Some kmax)) with
+          | Error _ -> ()
+          | Ok _ ->
+              Alcotest.fail (Printf.sprintf "daemon served kmax %d" kmax))
+        [ Codec.max_kmax + 1; max_int ];
+      (match Client.call c (Codec.Classify (pred causal)) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail ("daemon stopped serving: " ^ e));
+      (match Client.call c Codec.Stats with
+      | Ok stats -> (
+          match field "cache" stats with
+          | J.Obj fs ->
+              check_bool "only the classify was cached" true
+                (List.assoc "size" fs = J.Int 1)
+          | _ -> Alcotest.fail "cache stats shape")
+      | Error e -> Alcotest.fail ("stats: " ^ e));
+      Client.close c);
+  graceful_shutdown pid path
 
 (* ---- TCP transport ---- *)
 
@@ -1375,6 +1444,8 @@ let () =
           Alcotest.test_case "payload shapes" `Quick test_payload_shapes;
           Alcotest.test_case "monitor op" `Quick test_monitor_op;
           Alcotest.test_case "lattice op" `Quick test_lattice_op;
+          Alcotest.test_case "lattice kmax bound" `Quick
+            test_lattice_kmax_bound;
           Alcotest.test_case "pipelined groups" `Quick test_pipelined_group;
           Alcotest.test_case "warm restart" `Quick test_engine_warm_restart;
         ] );
@@ -1390,6 +1461,7 @@ let () =
             test_daemon_pipelining;
           Alcotest.test_case "jobs determinism" `Quick
             test_daemon_jobs_determinism;
+          Alcotest.test_case "hostile kmax" `Quick test_daemon_kmax_bound;
           Alcotest.test_case "tcp transport" `Quick test_tcp_round_trip;
           Alcotest.test_case "persist warm restart" `Quick
             test_daemon_persist_warm_restart;

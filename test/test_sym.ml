@@ -24,7 +24,7 @@
      940,304-run deep tier, pins the 77,830,564-run vast tier's
      orbit-expanded cardinalities, widens the lattice payload
      differential to every catalog predicate and 200 random ones at
-     kmax 1-4, and checks configs_sym against the oracle on the vast
+     kmax 1-4 and 6, and checks configs_sym against the oracle on the vast
      tier with self-addressed messages. *)
 
 open Mo_core
@@ -412,12 +412,13 @@ let random_pred seed =
   | 1 -> Mo_workload.Random_pred.guarded_predicate ~seed ()
   | _ -> Mo_workload.Random_pred.cyclic_predicate ~nvars:(2 + (seed mod 4)) ~seed
 
-(* the service's lattice payload walks the quotient; it must render
-   byte for byte what the concrete walk renders. A concrete walk costs
-   ~0.3-0.5 s, so tier-1 takes every catalog predicate at the service's
-   default kmax 3 and 4 random predicates at kmax 1-4; the nightly arm
-   takes every catalog predicate and 200 random ones at kmax 1-4. The
-   cases are spread over the pool. *)
+(* the service's lattice payload answers from the leaf table; it must
+   render byte for byte what the concrete walk renders. A concrete walk
+   costs ~0.2-0.3 s, so tier-1 takes every catalog predicate at the
+   service's default kmax 3 and 4 random predicates at kmax 1-4 and 6
+   (above the largest message count, 4, so Ksync 4-6 hold every run);
+   the nightly arm takes every catalog predicate and 200 random ones at
+   the same kmaxes. The cases are spread over the pool. *)
 let test_lattice_payload_equal () =
   let catalog =
     List.map (fun (e : Catalog.entry) -> (e.Catalog.name, e.Catalog.pred))
@@ -432,8 +433,8 @@ let test_lattice_payload_equal () =
   in
   let cases =
     Array.of_list
-      (if deep then at [ 1; 2; 3; 4 ] (catalog @ random 200)
-       else at [ 3 ] catalog @ at [ 1; 2; 3; 4 ] (random 4))
+      (if deep then at [ 1; 2; 3; 4; 6 ] (catalog @ random 200)
+       else at [ 3 ] catalog @ at [ 1; 2; 3; 4; 6 ] (random 4))
   in
   let payloads =
     Mo_par.Pool.map (Mo_par.Pool.create ()) ~chunk:1 (Array.length cases)
