@@ -19,6 +19,20 @@
       consistent with that partition;
     - conjunct and guard sorting under the new numbering.
 
+    Refinement stops at its fixpoint: the first round that keeps the
+    number of classes, or at once when every variable is alone in its
+    class. That is exact — once the partition is stable each class keeps
+    its id, so every further round is the identity — and on the
+    service's traffic it comes after about two rounds. The exact search
+    walks the class-consistent orders in place, builds each candidate's
+    packed key into a reused array and abandons a candidate at its first
+    element above the best so far; classes of variables that occur in no
+    conjunct or guard are not permuted, as that never changes the key.
+    Its worst case is a single class of 8 interchangeable variables: the
+    complete 8-variable predicate (all 56 [xi.s < xj.r]) visits all 8!
+    orders and ties every one of them, in about 40 ms (min of 15 runs)
+    on one core of a 2-core x86-64 host.
+
     The result is a normal form: any two alpha-equivalent predicates map
     to structurally equal canonical predicates (hence equal digests), as
     long as the within-class permutation search is not truncated (see
@@ -37,10 +51,6 @@ val digest : Forbidden.t -> string
     [predicate t]. Equal for alpha-equivalent predicates; independent of
     process, host and session. *)
 
-val canonical : Forbidden.t -> Forbidden.t * string
-(** [(predicate t, digest t)] from one canonicalization: what a payload
-    that reports both should call. *)
-
 val spec : Spec.t -> Spec.t
 (** Member predicates canonicalized, sorted by digest and deduplicated;
     the spec name is preserved (it is not part of {!spec_digest}). *)
@@ -55,6 +65,31 @@ val equal : Forbidden.t -> Forbidden.t -> bool
     distinct predicates equal). Strictly coarser than {!Forbidden.equal}
     and strictly finer than semantic equivalence
     ({!Implies.equivalent}). *)
+
+type key
+
+val key : Forbidden.t -> key
+(** The canonical form, packed: what {!predicate} materializes and
+    {!digest} renders. Computing it is the whole cost of
+    canonicalization; the service computes it once per request. *)
+
+val key_digest : key -> string
+(** [key_digest (key t) = digest t]. *)
+
+val of_key : key -> Forbidden.t
+(** [of_key (key t) = predicate t]. *)
+
+type spec_key
+(** A spec's members canonicalized once each, sorted by digest and
+    deduplicated. *)
+
+val spec_key : Spec.t -> spec_key
+
+val spec_key_digest : spec_key -> string
+(** [spec_key_digest (spec_key s) = spec_digest s]. *)
+
+val of_spec_key : spec_key -> Spec.t
+(** [of_spec_key (spec_key s) = spec s]. *)
 
 val max_search : int
 (** Safety valve: the permutation search enumerates at most this many

@@ -112,14 +112,53 @@ let equal a b =
   && List.for_all (fun g -> List.exists (Term.guard_equal g) b.guards)
        a.guards
 
-let pp ppf t =
-  let sep ppf () = Format.fprintf ppf " & " in
+(* The concrete syntax, written straight into one buffer: conjuncts
+   [x<i>.<p> < x<j>.<q>], then guards, joined by [" & "]. *)
+let to_string t =
   match (t.conjuncts, t.guards) with
-  | [], [] -> Format.fprintf ppf "true"
-  | _ ->
-      Format.fprintf ppf "%a"
-        (Format.pp_print_list ~pp_sep:sep (fun ppf item -> item ppf))
-        (List.map (fun c ppf -> Term.pp_conjunct ppf c) t.conjuncts
-        @ List.map (fun g ppf -> Term.pp_guard ppf g) t.guards)
+  | [], [] -> "true"
+  | conjuncts, guards ->
+      let buf = Buffer.create 64 in
+      let var v =
+        Buffer.add_char buf 'x';
+        Buffer.add_string buf (string_of_int v)
+      in
+      let endpoint (e : Term.endpoint) =
+        var e.var;
+        Buffer.add_string buf
+          (match e.point with Mo_order.Event.S -> ".s" | R -> ".r")
+      in
+      let sep = ref false in
+      let item () =
+        if !sep then Buffer.add_string buf " & " else sep := true
+      in
+      List.iter
+        (fun (c : Term.conjunct) ->
+          item ();
+          endpoint c.before;
+          Buffer.add_string buf " < ";
+          endpoint c.after)
+        conjuncts;
+      let same f x y =
+        Buffer.add_string buf f;
+        var x;
+        Buffer.add_string buf ") = ";
+        Buffer.add_string buf f;
+        var y;
+        Buffer.add_char buf ')'
+      in
+      List.iter
+        (fun (g : Term.guard) ->
+          item ();
+          match g with
+          | Term.Same_src (x, y) -> same "src(" x y
+          | Term.Same_dst (x, y) -> same "dst(" x y
+          | Term.Color_is (x, c) ->
+              Buffer.add_string buf "color(";
+              var x;
+              Buffer.add_string buf ") = ";
+              Buffer.add_string buf (string_of_int c))
+        guards;
+      Buffer.contents buf
 
-let to_string t = Format.asprintf "%a" pp t
+let pp ppf t = Format.pp_print_string ppf (to_string t)

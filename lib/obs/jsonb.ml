@@ -76,9 +76,11 @@ let rec emit buf ~indent ~level v =
       pad level;
       Buffer.add_char buf '}'
 
+let to_buffer buf v = emit buf ~indent:false ~level:0 v
+
 let to_string v =
   let buf = Buffer.create 256 in
-  emit buf ~indent:false ~level:0 v;
+  to_buffer buf v;
   Buffer.contents buf
 
 let to_string_pretty v =

@@ -17,6 +17,9 @@ type t =
 val to_string : t -> string
 (** Compact (single-line) serialization with full string escaping. *)
 
+val to_buffer : Buffer.t -> t -> unit
+(** [to_string], appended to a buffer. *)
+
 val to_string_pretty : t -> string
 (** Two-space indented serialization, trailing newline. *)
 

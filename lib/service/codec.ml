@@ -164,8 +164,13 @@ let result_of_response json =
 
 (* ---- result payloads (shared with the CLI --json output) --------- *)
 
-let classify_payload pred =
-  let canonical, digest = Canon.canonical pred in
+(* Each payload has a builder from the canonical key and its digest,
+   computed once per request by the engine's admission, and a
+   [*_payload] entry point that canonicalizes first. The canonical
+   predicate is materialized only here, that is only on a cache miss. *)
+
+let classify_of_key key digest =
+  let canonical = Canon.of_key key in
   let r = Classify.classify canonical in
   let implementable, cls =
     match r.Classify.verdict with
@@ -199,8 +204,12 @@ let classify_payload pred =
             | `Unsatisfiable -> "unsatisfiable") );
       ])
 
-let implies_payload a b =
-  let ca, da = Canon.canonical a and cb, db = Canon.canonical b in
+let classify_payload pred =
+  let key = Canon.key pred in
+  classify_of_key key (Canon.key_digest key)
+
+let implies_of_keys (ka, da) (kb, db) =
+  let ca = Canon.of_key ka and cb = Canon.of_key kb in
   let fwd = Implies.check ca cb and bwd = Implies.check cb ca in
   J.Obj
     [
@@ -219,8 +228,12 @@ let implies_payload a b =
           | `Incomparable -> "incomparable") );
     ]
 
-let witness_payload pred =
-  let canonical, digest = Canon.canonical pred in
+let implies_payload a b =
+  let ka = Canon.key a and kb = Canon.key b in
+  implies_of_keys (ka, Canon.key_digest ka) (kb, Canon.key_digest kb)
+
+let witness_of_key key digest =
+  let canonical = Canon.of_key key in
   let base =
     [
       ("predicate", J.String (Forbidden.to_string canonical));
@@ -252,12 +265,16 @@ let witness_payload pred =
             ("reason", J.String "conflicting-guards");
           ])
 
-let minimize_payload preds =
-  let canonical = Canon.spec (Spec.make ~name:"query" preds) in
+let witness_payload pred =
+  let key = Canon.key pred in
+  witness_of_key key (Canon.key_digest key)
+
+let minimize_of_spec_key ~members sk =
+  let canonical = Canon.of_spec_key sk in
   let minimized = Spec.minimize canonical in
   J.Obj
     [
-      ("members", J.Int (List.length preds));
+      ("members", J.Int members);
       ("canonical_members", J.Int (List.length canonical.Spec.predicates));
       ( "kept",
         J.List
@@ -268,8 +285,12 @@ let minimize_payload preds =
         J.Int
           (List.length canonical.Spec.predicates
           - List.length minimized.Spec.predicates) );
-      ("digest", J.String (Canon.spec_digest canonical));
+      ("digest", J.String (Canon.spec_key_digest sk));
     ]
+
+let minimize_payload preds =
+  minimize_of_spec_key ~members:(List.length preds)
+    (Canon.spec_key (Spec.make ~name:"query" preds))
 
 let monitor_payload ?window pred ~trace =
   let module T = Mo_workload.Trace_io in
@@ -319,10 +340,10 @@ let monitor_payload ?window pred ~trace =
                       ] );
             ])
 
-let lattice_payload ?(kmax = 3) ?(sym = true) pred =
+let lattice_of_key ?(kmax = 3) ?(sym = true) key digest =
   if kmax < 1 || kmax > max_kmax then
     raise (Bad_request (Printf.sprintf "kmax must be in 1..%d" max_kmax));
-  let canonical, digest = Canon.canonical pred in
+  let canonical = Canon.of_key key in
   (* The quotiented placement is one pass over the process-wide leaf
      table, with no pool; it renders byte for byte what the concrete
      walk renders (test_sym and test_leaf_table pin the two payloads
@@ -361,13 +382,28 @@ let lattice_payload ?(kmax = 3) ?(sym = true) pred =
       ("guarantees", names pl.Modelcheck.p_guarantees);
     ]
 
+let lattice_payload ?kmax ?sym pred =
+  let key = Canon.key pred in
+  lattice_of_key ?kmax ?sym key (Canon.key_digest key)
+
 (* ---- framing ----------------------------------------------------- *)
 
 let default_max_frame = 1 lsl 20
 
+(* append one frame to [out], rendering the payload through [scratch]
+   first, since the header needs its length *)
+let add_frame out scratch json =
+  Buffer.clear scratch;
+  J.to_buffer scratch json;
+  Buffer.add_string out (string_of_int (Buffer.length scratch));
+  Buffer.add_char out '\n';
+  Buffer.add_buffer out scratch;
+  Buffer.add_char out '\n'
+
 let encode_frame json =
-  let payload = J.to_string json in
-  Printf.sprintf "%d\n%s\n" (String.length payload) payload
+  let out = Buffer.create 256 in
+  add_frame out (Buffer.create 256) json;
+  Buffer.contents out
 
 let write_all fd s =
   let b = Bytes.unsafe_of_string s in
@@ -380,10 +416,14 @@ let write_all fd s =
 let write_frame fd json = write_all fd (encode_frame json)
 
 let write_frames fd jsons =
-  (* one syscall batch for a whole pipeline's worth of responses *)
+  (* one buffer, one syscall batch for a whole pipeline's worth of
+     responses *)
   match jsons with
   | [] -> ()
-  | jsons -> write_all fd (String.concat "" (List.map encode_frame jsons))
+  | jsons ->
+      let out = Buffer.create 1024 and scratch = Buffer.create 256 in
+      List.iter (add_frame out scratch) jsons;
+      write_all fd (Buffer.contents out)
 
 (* The reader buffers whatever the descriptor delivers and parses frames
    out of the buffer, so several pipelined frames arriving in one read

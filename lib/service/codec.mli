@@ -105,6 +105,31 @@ val lattice_payload :
     {!classify_payload}. @raise Bad_request when [kmax] is outside
     [1 .. ]{!max_kmax}. *)
 
+(** {2 Builders from a canonical key}
+
+    Each [*_payload] above canonicalizes its arguments, then calls the
+    builder below with the {!Mo_core.Canon.key} and its
+    {!Mo_core.Canon.key_digest}. The engine computes that key once, at
+    admission, for its cache key, and hands it to the builder, so a
+    request is canonicalized once and the canonical predicate is
+    materialized only on a cache miss. [builder (key p) (key_digest (key
+    p))] is byte-identical to the payload of [p]. *)
+
+val classify_of_key : Mo_core.Canon.key -> string -> Mo_obs.Jsonb.t
+
+val implies_of_keys :
+  Mo_core.Canon.key * string -> Mo_core.Canon.key * string -> Mo_obs.Jsonb.t
+
+val witness_of_key : Mo_core.Canon.key -> string -> Mo_obs.Jsonb.t
+
+val minimize_of_spec_key :
+  members:int -> Mo_core.Canon.spec_key -> Mo_obs.Jsonb.t
+(** [members] is the number of predicates the request listed. *)
+
+val lattice_of_key :
+  ?kmax:int -> ?sym:bool -> Mo_core.Canon.key -> string -> Mo_obs.Jsonb.t
+(** @raise Bad_request when [kmax] is outside [1 .. ]{!max_kmax}. *)
+
 val max_kmax : int
 (** 64: the widest k-synchronous sweep a lattice request may ask for.
     Every run of the placement universe has at most 4 messages, so

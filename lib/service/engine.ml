@@ -79,33 +79,43 @@ let stats_payload t =
 (* payload thunk of a computable request, with its cache key when the
    payload is a pure function of the canonicalized arguments; [None] as
    the key means compute-always (a monitor verdict depends on the
-   trace, which has no useful canonical form) *)
+   trace, which has no useful canonical form). Each predicate is
+   canonicalized here, once: the thunk receives the key, so a miss never
+   canonicalizes again and a hit never materializes the canonical
+   predicate. *)
 let computable (req : Codec.request) =
+  let keyed p =
+    let k = Canon.key p in
+    (k, Canon.key_digest k)
+  in
   match req with
   | Codec.Classify p ->
-      Some
-        ( Some ("c:" ^ Canon.digest p),
-          fun () -> Codec.classify_payload p )
+      let k, d = keyed p in
+      Some (Some ("c:" ^ d), fun () -> Codec.classify_of_key k d)
   | Codec.Witness p ->
-      Some
-        (Some ("w:" ^ Canon.digest p), fun () -> Codec.witness_payload p)
+      let k, d = keyed p in
+      Some (Some ("w:" ^ d), fun () -> Codec.witness_of_key k d)
   | Codec.Implies (a, b) ->
+      let ((_, da) as ka) = keyed a and ((_, db) as kb) = keyed b in
       Some
-        ( Some ("i:" ^ Canon.digest a ^ ":" ^ Canon.digest b),
-          fun () -> Codec.implies_payload a b )
+        ( Some ("i:" ^ da ^ ":" ^ db),
+          fun () -> Codec.implies_of_keys ka kb )
   | Codec.Minimize ps ->
+      let sk = Canon.spec_key (Spec.make ~name:"query" ps) in
       Some
-        ( Some ("m:" ^ Canon.spec_digest (Spec.make ~name:"query" ps)),
-          fun () -> Codec.minimize_payload ps )
+        ( Some ("m:" ^ Canon.spec_key_digest sk),
+          fun () ->
+            Codec.minimize_of_spec_key ~members:(List.length ps) sk )
   | Codec.Monitor (p, trace, window) ->
       Some (None, fun () -> Codec.monitor_payload ?window p ~trace)
   | Codec.Lattice (p, kmax) ->
       (* kmax in the cache key: placements at different sweeps produce
          different payloads and must not collide under one digest *)
-      let k = Option.value ~default:3 kmax in
+      let kmax = Option.value ~default:3 kmax in
+      let k, d = keyed p in
       Some
-        ( Some (Printf.sprintf "l:%d:%s" k (Canon.digest p)),
-          fun () -> Codec.lattice_payload ~kmax:k p )
+        ( Some (Printf.sprintf "l:%d:%s" kmax d),
+          fun () -> Codec.lattice_of_key ~kmax k d )
   | Codec.Stats | Codec.Shutdown | Codec.Batch _ -> None
 
 (* admission: None when the request may proceed, Some response when it

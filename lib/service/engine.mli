@@ -4,12 +4,14 @@
     envelopes, the tests and the B13 bench drive it directly. Every
     cacheable endpoint goes through the same funnel:
 
-    {v input predicate(s) → Canon digest → LRU lookup → payload v}
+    {v input predicate(s) → Canon key + digest → LRU lookup → payload v}
 
-    so the response to a request is a pure function of the
-    alpha-equivalence class of its arguments, and hit/miss counters are
-    a pure function of the request stream (the property the bench gate
-    pins). [stats] and [shutdown] are never cached.
+    Each predicate is canonicalized once, at admission; a miss builds
+    its payload from that key. The response to a request is a pure
+    function of the alpha-equivalence class of its arguments, and
+    hit/miss counters are a pure function of the request stream (the
+    property the bench gate pins). [stats] and [shutdown] are never
+    cached.
 
     Batches: sub-requests are admitted (deadline check, cache lookup) in
     order on the caller's domain; the payloads of the distinct missing

@@ -111,11 +111,13 @@ let idempotent p =
   Forbidden.equal c (Canon.predicate c)
   && String.equal (Canon.digest p) (Canon.digest c)
 
-(* the payloads canonicalize once through [canonical]; it must be the
-   pair the two separate calls give *)
+(* the service canonicalizes once, to a key, and reads both the
+   predicate and the digest off it; they must be what the two separate
+   calls give *)
 let canonical_pair p =
-  let c, d = Canon.canonical p in
-  Forbidden.equal c (Canon.predicate p) && String.equal d (Canon.digest p)
+  let k = Canon.key p in
+  Forbidden.equal (Canon.of_key k) (Canon.predicate p)
+  && String.equal (Canon.key_digest k) (Canon.digest p)
 
 (* hand-written sanity anchors *)
 
@@ -177,6 +179,203 @@ let test_spec_canon () =
     "member order is irrelevant" (Canon.spec_digest s)
     (Canon.spec_digest reordered)
 
+(* ---- the reference canonicalizer as oracle ----------------------- *)
+
+(* Canon must agree byte for byte with Canon_oracle (the list-based
+   canonicalizer it replaced): digests are cache keys and persisted
+   snapshot keys, so any drift would orphan them. [matches_oracle]
+   compares the digest, the key's digest, the canonical predicate as
+   printed and the printed input; [spec_matches_oracle] the spec digest
+   and the canonical spec. *)
+
+(* x0.s < x1.r, ..., x(n-1).s < x0.r *)
+let ring ~nvars =
+  Forbidden.make ~nvars
+    (List.init nvars (fun v -> Term.(s v @> r ((v + 1) mod nvars))))
+
+(* every xi.s < xj.r, i <> j *)
+let complete ~nvars =
+  let vars = List.init nvars Fun.id in
+  Forbidden.make ~nvars
+    (List.concat_map
+       (fun i ->
+         List.filter_map
+           (fun j -> if i = j then None else Some Term.(s i @> r j))
+           vars)
+       vars)
+
+(* svc-cold's hard shape: the union of [ncycles] random Hamiltonian
+   cycles over [nvars] variables, endpoints drawn at random *)
+let multi_cycle rng ~nvars ~ncycles =
+  let one_cycle () =
+    let perm = random_perm nvars rng in
+    List.init nvars (fun i ->
+        let pt v = if Random.State.bool rng then Term.s v else Term.r v in
+        Term.(pt perm.(i) @> pt perm.((i + 1) mod nvars)))
+  in
+  Forbidden.make ~nvars
+    (List.concat (List.init ncycles (fun _ -> one_cycle ())))
+
+(* colours anywhere in the int range, duplicated across variables *)
+let wide_colors = [| min_int; -1_000_003; -7; -1; 0; 3; 12; 4_096; max_int |]
+
+let wide_colored rng =
+  let base =
+    Mo_workload.Random_pred.predicate ~max_vars:9 ~max_conjuncts:12
+      ~seed:(Prop.int_range 0 1_000_000 rng)
+      ()
+  in
+  let nvars = Forbidden.nvars base in
+  let guards =
+    List.init (Prop.int_range 1 6 rng) (fun _ ->
+        let x = Prop.int_range 0 (nvars - 1) rng in
+        match Prop.int_range 0 4 rng with
+        | 0 -> Term.Same_src (x, Prop.int_range 0 (nvars - 1) rng)
+        | 1 -> Term.Same_dst (x, Prop.int_range 0 (nvars - 1) rng)
+        | _ ->
+            let c = Prop.int_range 0 (Array.length wide_colors - 1) rng in
+            Term.Color_is (x, wide_colors.(c)))
+  in
+  Forbidden.make ~nvars ~guards (Forbidden.conjuncts base)
+
+let gen_small rng =
+  let seed = Prop.int_range 0 1_000_000_000 rng in
+  match Prop.int_range 0 3 rng with
+  | 0 ->
+      Mo_workload.Random_pred.predicate ~max_vars:9 ~max_conjuncts:16 ~seed
+        ()
+  | 1 ->
+      Mo_workload.Random_pred.guarded_predicate ~max_vars:9 ~max_conjuncts:12
+        ~seed ()
+  | 2 ->
+      Mo_workload.Random_pred.cyclic_predicate
+        ~nvars:(Prop.int_range 2 9 rng) ~seed
+  | _ -> wide_colored rng
+
+let matches_oracle p =
+  let same what got want =
+    if not (String.equal got want) then
+      Alcotest.failf "%s of %s: %S, oracle %S" what
+        (Canon_oracle.forbidden_to_string p)
+        got want
+  in
+  let oc, od = Canon_oracle.canonical p in
+  same "digest" (Canon.digest p) od;
+  let k = Canon.key p in
+  let c = Canon.of_key k in
+  same "key digest" (Canon.key_digest k) od;
+  same "predicate" (Forbidden.to_string c)
+    (Canon_oracle.forbidden_to_string oc);
+  same "printer" (Forbidden.to_string p) (Canon_oracle.forbidden_to_string p)
+
+let spec_matches_oracle s =
+  let same what got want =
+    if not (String.equal got want) then
+      Alcotest.failf "%s of spec %s: %S, oracle %S" what
+        (String.concat " ; "
+           (List.map Canon_oracle.forbidden_to_string s.Spec.predicates))
+        got want
+  in
+  same "spec_digest" (Canon.spec_digest s) (Canon_oracle.spec_digest s);
+  (* what minimize's payload reported: the digest of the canonical spec *)
+  same "spec_digest of spec" (Canon.spec_digest s)
+    (Canon_oracle.spec_digest (Canon_oracle.spec s));
+  let printed (s : Spec.t) =
+    String.concat " ; " (List.map Forbidden.to_string s.Spec.predicates)
+  in
+  same "spec" (printed (Canon.spec s)) (printed (Canon_oracle.spec s))
+
+let test_oracle_catalog () =
+  List.iter
+    (fun (e : Catalog.entry) -> matches_oracle e.Catalog.pred)
+    Catalog.all;
+  spec_matches_oracle
+    (Spec.make ~name:"catalog"
+       (List.map (fun (e : Catalog.entry) -> e.Catalog.pred) Catalog.all))
+
+let test_oracle_draws () =
+  let rng = Random.State.make [| 2026; 20 |] in
+  let draws = 20_400 in
+  let window = ref [] in
+  for i = 1 to draws do
+    let p = gen_small rng in
+    matches_oracle p;
+    (* every twelfth draw, a spec of the last four plus an alpha-renamed
+       duplicate *)
+    if i mod 12 >= 8 then window := p :: !window;
+    if i mod 12 = 0 then begin
+      let dup = rename_pred p (random_perm (Forbidden.nvars p) rng) rng in
+      spec_matches_oracle (Spec.make ~name:"s" (dup :: !window));
+      window := []
+    end
+  done
+
+let test_oracle_multi_cycle () =
+  let rng = Random.State.make [| 2026; 21 |] in
+  for _ = 1 to 400 do
+    let p =
+      multi_cycle rng ~nvars:(8 + Prop.int_range 0 1 rng)
+        ~ncycles:(Prop.int_range 1 5 rng)
+    in
+    matches_oracle p;
+    matches_oracle (rename_pred p (random_perm (Forbidden.nvars p) rng) rng)
+  done
+
+(* shapes whose one signature class reaches the exact search (8 ring
+   members, 7 complete ones) or the fallback (the 9-ring, and the
+   22-variable regression below); every renaming must agree too *)
+let test_oracle_symmetric () =
+  let rng = Random.State.make [| 2026; 22 |] in
+  let shapes =
+    [
+      ring ~nvars:8;
+      complete ~nvars:7;
+      ring ~nvars:9;
+      Forbidden.make ~nvars:22
+        ~guards:(List.init 22 (fun v -> Term.Color_is (v, 1)))
+        (Forbidden.conjuncts (ring ~nvars:22));
+      Forbidden.make ~nvars:8
+        ~guards:(List.init 4 (fun v -> Term.Same_src (2 * v, (2 * v) + 1)))
+        (Forbidden.conjuncts (ring ~nvars:8));
+    ]
+  in
+  List.iter
+    (fun p ->
+      matches_oracle p;
+      for _ = 1 to 2 do
+        matches_oracle
+          (rename_pred p (random_perm (Forbidden.nvars p) rng) rng)
+      done)
+    shapes;
+  (* ~0.4 s in the oracle: once *)
+  matches_oracle (complete ~nvars:8)
+
+let test_printer () =
+  let t = Forbidden.make in
+  let check p =
+    Alcotest.(check string)
+      (Canon_oracle.forbidden_to_string p)
+      (Canon_oracle.forbidden_to_string p)
+      (Forbidden.to_string p)
+  in
+  check (t ~nvars:0 []);
+  check (t ~nvars:3 []);
+  check
+    (t ~nvars:12
+       ~guards:
+         Term.
+           [
+             Same_src (11, 3);
+             Same_dst (10, 10);
+             Color_is (0, -5);
+             Color_is (10, 123_456);
+             Color_is (11, min_int);
+             Color_is (1, max_int);
+           ]
+       Term.[ s 10 @> r 11; r 0 @> s 9; s 11 @> s 11 ]);
+  check (t ~nvars:2 ~guards:[ Term.Color_is (1, -40) ] []);
+  check (complete ~nvars:9)
+
 let () =
   Alcotest.run "canon"
     [
@@ -204,5 +403,15 @@ let () =
           Alcotest.test_case "symmetric budget overflow" `Quick
             test_symmetric_budget_overflow;
           Alcotest.test_case "spec canonicalization" `Quick test_spec_canon;
+        ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "catalog" `Quick test_oracle_catalog;
+          Alcotest.test_case "20,400 random draws" `Quick test_oracle_draws;
+          Alcotest.test_case "multi-cycle 8-9 variables" `Quick
+            test_oracle_multi_cycle;
+          Alcotest.test_case "symmetric and fallback shapes" `Quick
+            test_oracle_symmetric;
+          Alcotest.test_case "printer" `Quick test_printer;
         ] );
     ]
