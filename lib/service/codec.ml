@@ -464,8 +464,9 @@ let refill r =
 let parse ~max_len r =
   if r.len = r.pos then (if r.eof then `Eof else `Need)
   else begin
-    let finish payload consumed_to =
-      match J.of_string payload with
+    (* the payload is parsed where it lies in the buffer *)
+    let finish body n consumed_to =
+      match J.of_bytes r.buf ~pos:body ~len:n with
       | Ok json ->
           r.pos <- consumed_to;
           `Frame json
@@ -495,13 +496,12 @@ let parse ~max_len r =
         else if r.len - body < n then
           if r.eof then `Error "eof inside frame payload" else `Need
         else begin
-          let payload = Bytes.sub_string r.buf body n in
           let after = body + n in
           if after < r.len then
             match Bytes.get r.buf after with
-            | '\n' -> finish payload (after + 1)
+            | '\n' -> finish body n (after + 1)
             | c -> `Error (Printf.sprintf "expected frame terminator, got %C" c)
-          else if r.eof then finish payload after
+          else if r.eof then finish body n after
           else `Need
         end
   end

@@ -154,7 +154,9 @@ val write_frames : Unix.file_descr -> Mo_obs.Jsonb.t list -> unit
 type reader
 (** Growable buffered frame reader over a file descriptor. Bytes are
     consumed from the descriptor in bulk, so several pipelined frames
-    arriving together are each parseable without another [read]. *)
+    arriving together are each parseable without another [read]. Each
+    payload is parsed where it lies in the buffer
+    ({!Mo_obs.Jsonb.of_bytes}), without a copy. *)
 
 val reader : Unix.file_descr -> reader
 

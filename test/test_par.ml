@@ -453,36 +453,42 @@ let test_metrics_merge_parallel () =
 (* ------------------------------------------------------------------ *)
 (* Jsonb parsing (the bench-regression gate reads BENCH_*.json)        *)
 
-let test_jsonb_roundtrip () =
-  let samples =
-    [
-      Mo_obs.Jsonb.Null;
-      Mo_obs.Jsonb.Bool true;
-      Mo_obs.Jsonb.Int (-42);
-      Mo_obs.Jsonb.Float 2.5;
-      Mo_obs.Jsonb.String "he \"said\"\n\ttab\\slash";
-      Mo_obs.Jsonb.List
-        [ Mo_obs.Jsonb.Int 1; Mo_obs.Jsonb.List []; Mo_obs.Jsonb.Obj [] ];
-      Mo_obs.Jsonb.Obj
-        [
-          ("a", Mo_obs.Jsonb.Int 1);
-          ("nested", Mo_obs.Jsonb.Obj [ ("b", Mo_obs.Jsonb.Bool false) ]);
-          ("xs", Mo_obs.Jsonb.List [ Mo_obs.Jsonb.Float 0.125 ]);
-        ];
-    ]
+(* jsonb.mli's law, of_string (to_string v) = Ok v, compact and pretty,
+   over random trees: strings and keys over all 256 byte values, nested
+   lists and objects, min_int and max_int, and floats that print
+   exactly *)
+let rec gen_json depth rng =
+  let module J = Mo_obs.Jsonb in
+  let str rng =
+    String.init (Prop.int_range 0 10 rng) (fun _ ->
+        Char.chr (Random.State.int rng 256))
   in
-  List.iter
-    (fun j ->
-      let compact = Mo_obs.Jsonb.to_string j in
-      (match Mo_obs.Jsonb.of_string compact with
-      | Ok j' ->
-          check_string "compact round trip" compact (Mo_obs.Jsonb.to_string j')
-      | Error e -> Alcotest.fail (compact ^ ": " ^ e));
-      match Mo_obs.Jsonb.of_string (Mo_obs.Jsonb.to_string_pretty j) with
-      | Ok j' ->
-          check_string "pretty round trip" compact (Mo_obs.Jsonb.to_string j')
-      | Error e -> Alcotest.fail ("pretty: " ^ e))
-    samples
+  match Prop.int_range 0 (if depth = 0 then 4 else 6) rng with
+  | 0 -> J.Null
+  | 1 -> J.Bool (Random.State.bool rng)
+  | 2 ->
+      J.Int
+        (Prop.oneof
+           [ 0; -1; 7; min_int; max_int; min_int + 1; Random.State.bits rng ]
+           rng)
+  | 3 ->
+      J.Float
+        (Prop.oneof
+           [ 0.; 2.5; -0.125; 1e15; 3e20; 123456.; -7.; 1.5e-7;
+             float_of_int (Random.State.bits rng) ]
+           rng)
+  | 4 -> J.String (str rng)
+  | 5 -> J.List (List.init (Prop.int_range 0 4 rng) (fun _ -> gen_json (depth - 1) rng))
+  | _ ->
+      J.Obj
+        (List.init (Prop.int_range 0 4 rng) (fun _ ->
+             (str rng, gen_json (depth - 1) rng)))
+
+let test_jsonb_roundtrip =
+  Prop.test ~count:2000 ~seed:2205 ~name:"jsonb round trip" (gen_json 4)
+    ~pp:Mo_obs.Jsonb.to_string (fun v ->
+      Mo_obs.Jsonb.of_string (Mo_obs.Jsonb.to_string v) = Ok v
+      && Mo_obs.Jsonb.of_string (Mo_obs.Jsonb.to_string_pretty v) = Ok v)
 
 let test_jsonb_errors () =
   List.iter

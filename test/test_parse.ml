@@ -59,6 +59,33 @@ let test_errors () =
       "x.s < y.s | y.r < x.r";
     ]
 
+(* the lexical level is checked first: a bad byte or an out-of-range
+   integer anywhere in the text is the error, even behind a syntax error
+   that comes earlier *)
+let test_error_precedence () =
+  let error s =
+    match Parse.predicate s with
+    | Error e -> e
+    | Ok _ -> Alcotest.fail ("accepted: " ^ s)
+  in
+  let check = Alcotest.(check string) in
+  check "out-of-range colour"
+    "integer literal out of range at offset 23"
+    (error "x.s < y.r & color(x) = 99999999999999999999");
+  check "out-of-range behind a syntax error"
+    "integer literal out of range at offset 10"
+    (error "x.s < & y 4611686018427387904");
+  check "bad byte behind a syntax error" "unexpected character '#' at offset 8"
+    (error "x.s < & #");
+  check "first lexical error wins" "unexpected character '#' at offset 2"
+    (error "x #.s 99999999999999999999");
+  check "syntax error alone" "expected an endpoint after '<'" (error "x.s < & y");
+  match Parse.predicate "x.s < y.r & color(x) = 4611686018427387903" with
+  | Ok p ->
+      check_bool "max_int colour" true
+        (List.mem (Term.Color_is (0, max_int)) (Forbidden.guards p))
+  | Error e -> Alcotest.fail e
+
 let test_roundtrip_catalog () =
   (* printing then reparsing every catalog entry preserves the predicate *)
   List.iter
@@ -85,6 +112,7 @@ let () =
           Alcotest.test_case "whitespace" `Quick test_whitespace;
           Alcotest.test_case "empty" `Quick test_empty;
           Alcotest.test_case "errors" `Quick test_errors;
+          Alcotest.test_case "error precedence" `Quick test_error_precedence;
           Alcotest.test_case "catalog roundtrip" `Quick test_roundtrip_catalog;
           Alcotest.test_case "exn" `Quick test_exn;
         ] );

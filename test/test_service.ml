@@ -1072,6 +1072,56 @@ let test_daemon_kmax_bound () =
       Client.close c);
   graceful_shutdown pid path
 
+(* an out-of-range integer in a predicate is an error reply, not a dead
+   connection: the valid request pipelined behind it in the same write
+   is answered, and so is the next one *)
+let test_daemon_int_overflow () =
+  let path = tmp_sock "overflow" in
+  rm path;
+  let pid = spawn_daemon path in
+  round_trip path;
+  let classify id p =
+    J.Obj [ ("id", J.Int id); ("op", J.String "classify"); ("pred", J.String p) ]
+  in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (try
+     Fun.protect
+       ~finally:(fun () -> Unix.close fd)
+       (fun () ->
+         Unix.connect fd (Unix.ADDR_UNIX path);
+         let r = Codec.reader fd in
+         let reply () =
+           match Codec.read_frame r with
+           | Ok (Some j) -> Codec.result_of_response j
+           | Ok None -> Alcotest.fail "daemon closed the connection"
+           | Error e -> Alcotest.fail e
+         in
+         Codec.write_frames fd
+           [
+             classify 1 "x.s < y.r & color(x) = 99999999999999999999";
+             classify 2 causal;
+           ];
+         (match reply () with
+         | Error e ->
+             check_string "overflow error"
+               "cannot parse \"x.s < y.r & color(x) = \
+                99999999999999999999\": integer literal out of range at \
+                offset 23"
+               e
+         | Ok _ -> Alcotest.fail "overflow accepted");
+         (match reply () with
+         | Ok _ -> ()
+         | Error e -> Alcotest.fail ("request behind the overflow: " ^ e));
+         Codec.write_frame fd (classify 3 fifo);
+         match reply () with
+         | Ok _ -> ()
+         | Error e -> Alcotest.fail ("next request: " ^ e))
+   with e ->
+     Unix.kill pid Sys.sigkill;
+     ignore (Unix.waitpid [] pid);
+     raise e);
+  graceful_shutdown pid path
+
 (* ---- TCP transport ---- *)
 
 let find_sub s sub =
@@ -1462,6 +1512,8 @@ let () =
           Alcotest.test_case "jobs determinism" `Quick
             test_daemon_jobs_determinism;
           Alcotest.test_case "hostile kmax" `Quick test_daemon_kmax_bound;
+          Alcotest.test_case "out-of-range integer" `Quick
+            test_daemon_int_overflow;
           Alcotest.test_case "tcp transport" `Quick test_tcp_round_trip;
           Alcotest.test_case "persist warm restart" `Quick
             test_daemon_persist_warm_restart;
