@@ -448,18 +448,7 @@ let of_key k =
   in
   Forbidden.make ~nvars:k.nvars ~guards conjuncts
 
-(* decimal digits of [x <= 0], most significant first; working on the
-   negative side covers [min_int] *)
-let rec add_nonpos buf x =
-  if x <= -10 then add_nonpos buf (x / 10);
-  Buffer.add_char buf (Char.unsafe_chr (48 - (x mod 10)))
-
-let add_int buf x =
-  if x < 0 then begin
-    Buffer.add_char buf '-';
-    add_nonpos buf x
-  end
-  else add_nonpos buf (-x)
+let add_int = Forbidden.add_int
 
 (* n=<nvars>|c=<bv>.<bp><<av>.<ap>;...|g=s<x>=<y>;d<x>=<y>;k<x>=<c>;... *)
 let render_key k =

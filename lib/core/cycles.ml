@@ -169,18 +169,33 @@ let max_component = 54
 type orders = { orders : int list; best : cycle option; truncated : bool }
 
 (* An open-addressing table from non-negative int keys to non-negative
-   int values, [-1] meaning absent: one per root, no per-entry
-   allocation. *)
+   int values, [-1] meaning absent, with no per-entry allocation. [used]
+   lists the filled slots, so [clear] costs the entries, not the
+   capacity, and a table is reused across roots and calls instead of
+   growing a fresh one (large arrays live in the major heap) each time. *)
 module Memo = struct
   type t = {
     mutable keys : int array;
     mutable vals : int array;
+    mutable used : int array;  (** [used.(0 .. size-1)]: filled slots *)
     mutable size : int;
     mutable shift : int;  (** 63 - log2 (capacity) *)
   }
 
   let create () =
-    { keys = Array.make 64 (-1); vals = Array.make 64 0; size = 0; shift = 57 }
+    {
+      keys = Array.make 64 (-1);
+      vals = Array.make 64 0;
+      used = Array.make 32 0;
+      size = 0;
+      shift = 57;
+    }
+
+  let clear t =
+    for j = 0 to t.size - 1 do
+      t.keys.(t.used.(j)) <- -1
+    done;
+    t.size <- 0
 
   (* Fibonacci hashing: the top bits of the product depend on every key
      bit; linear probing in a table at most half full always ends *)
@@ -195,17 +210,39 @@ module Memo = struct
 
   let rec add t k v =
     if 2 * (t.size + 1) > Array.length t.keys then begin
-      let keys = t.keys and vals = t.vals in
+      let keys = t.keys and vals = t.vals and used = t.used
+      and size = t.size in
       t.keys <- Array.make (2 * Array.length keys) (-1);
       t.vals <- Array.make (2 * Array.length keys) 0;
+      t.used <- Array.make (Array.length keys) 0;
       t.size <- 0;
       t.shift <- t.shift - 1;
-      Array.iteri (fun i k -> if k >= 0 then add t k vals.(i)) keys
+      for j = 0 to size - 1 do
+        add t keys.(used.(j)) vals.(used.(j))
+      done
     end;
     let i = slot t.keys k ((k * 0x2545F4914F6CDD1D) lsr t.shift) in
     t.keys.(i) <- k;
     t.vals.(i) <- v;
+    t.used.(t.size) <- i;
     t.size <- t.size + 1
+
+  (* a table kept between calls holds at most [max_kept] slots, so a
+     domain does not hold on to the largest table it ever grew *)
+  let max_kept = 1 lsl 14
+
+  let shrink t =
+    if Array.length t.keys > max_kept then begin
+      let fresh = create () in
+      t.keys <- fresh.keys;
+      t.vals <- fresh.vals;
+      t.used <- fresh.used;
+      t.size <- 0;
+      t.shift <- fresh.shift
+    end
+
+  (* two tables per domain: the current root's and the best root's *)
+  let tables = Domain.DLS.new_key (fun () -> (create (), create ()))
 end
 
 (* The enumerator's cycles through [root] use only vertices above it, all
@@ -261,11 +298,14 @@ let orders g =
   let found = ref 0 in
   (* the first root whose cycles reach a new least order, with its memo *)
   let best_root = ref None in
+  let cur = ref (fst (Domain.DLS.get Memo.tables))
+  and spare = ref (snd (Domain.DLS.get Memo.tables)) in
   let truncated =
     try
       for root = 0 to n - 1 do
         if number root > max_component then raise Exit;
-        let memo = Memo.create () in
+        let memo = !cur in
+        Memo.clear memo;
         let rec f v mask in_r out_s =
           let k = key v mask in_r out_s in
           let x = Memo.find memo k in
@@ -308,7 +348,12 @@ let orders g =
            let m = Mo_order.Bitset.lowest_bit !here in
            match !best_root with
            | Some (_, m0, _) when m0 <= m -> ()
-           | _ -> best_root := Some (root, m, memo));
+           | _ ->
+               best_root := Some (root, m, memo);
+               (* the best root keeps its table; the next root takes
+                  the other one *)
+               cur := !spare;
+               spare := memo);
         unnumber root
       done;
       false
@@ -358,6 +403,8 @@ let orders g =
         Some (walk root 0 false None m [])
     | _ -> None
   in
+  Memo.shrink !cur;
+  Memo.shrink !spare;
   { orders; best; truncated }
 
 let pp_cycle ppf (c : cycle) =

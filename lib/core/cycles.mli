@@ -59,7 +59,9 @@ val orders : Pgraph.t -> orders
     back to the root, over the vertices above the root in its strongly
     connected component — the cycles {!enumerate} lists from that root.
     The certificate is one guided walk through the memo. The work is
-    bounded by {!step_budget}, whatever the graph. *)
+    bounded by {!step_budget}, whatever the graph. The memo tables are
+    per-domain scratch space reused from call to call, so calls on
+    different domains may run at once. *)
 
 val step_budget : int
 (** The work {!orders} may do before it stops and reports [truncated]:

@@ -48,3 +48,8 @@ val pp : Format.formatter -> t -> unit
     ["x0.s < x1.s & x1.r < x0.r"]. *)
 
 val to_string : t -> string
+
+val add_int : Buffer.t -> int -> unit
+(** [add_int buf i] appends [string_of_int i]'s bytes to [buf] without
+    building the string; shared by {!to_string} and [Canon]'s key
+    printer. *)
