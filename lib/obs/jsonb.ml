@@ -8,49 +8,82 @@ type t =
   | Obj of (string * t) list
 
 (* ------------------------------------------------------------------ *)
-(* Printing — one emitter for the compact and the pretty form. Strings *)
-(* are copied by runs of bytes that need no escape.                    *)
+(* Printing — one emitter for the compact and the pretty form. A size  *)
+(* pass first, then the text is written into bytes of exactly that     *)
+(* size. Strings are copied by runs of bytes that need no escape.      *)
 
 let hex_digit = "0123456789abcdef"
 
-(* [s.[run..i)] needs no escape and is not yet in [buf] *)
-let rec escape_from buf s run i =
-  if i = String.length s then Buffer.add_substring buf s run (i - run)
+(* the escaped length of [s.[i..)], [n] counted so far *)
+let rec escaped_from s i n =
+  if i = String.length s then n
+  else
+    match String.unsafe_get s i with
+    | '"' | '\\' | '\n' | '\r' | '\t' -> escaped_from s (i + 1) (n + 2)
+    | '\000' .. '\031' -> escaped_from s (i + 1) (n + 6)
+    | _ -> escaped_from s (i + 1) (n + 1)
+
+let escaped_size s = escaped_from s 0 2
+
+let put2 b pos c1 c2 =
+  Bytes.set b pos c1;
+  Bytes.set b (pos + 1) c2;
+  pos + 2
+
+(* [s.[run..i)] needs no escape and is not yet in [b]; [pos] is where it
+   goes *)
+let rec escape_from b pos s run i =
+  if i = String.length s then begin
+    Bytes.blit_string s run b pos (i - run);
+    pos + i - run
+  end
   else
     match String.unsafe_get s i with
     | ('"' | '\\' | '\000' .. '\031') as c ->
-        Buffer.add_substring buf s run (i - run);
-        (match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | c ->
-            Buffer.add_string buf "\\u00";
-            Buffer.add_char buf hex_digit.[Char.code c lsr 4];
-            Buffer.add_char buf hex_digit.[Char.code c land 15]);
-        escape_from buf s (i + 1) (i + 1)
-    | _ -> escape_from buf s run (i + 1)
+        Bytes.blit_string s run b pos (i - run);
+        let pos = pos + i - run in
+        let pos =
+          match c with
+          | '"' -> put2 b pos '\\' '"'
+          | '\\' -> put2 b pos '\\' '\\'
+          | '\n' -> put2 b pos '\\' 'n'
+          | '\r' -> put2 b pos '\\' 'r'
+          | '\t' -> put2 b pos '\\' 't'
+          | c ->
+              let pos = put2 b pos '\\' 'u' in
+              let pos = put2 b pos '0' '0' in
+              put2 b pos hex_digit.[Char.code c lsr 4]
+                hex_digit.[Char.code c land 15]
+        in
+        escape_from b pos s (i + 1) (i + 1)
+    | _ -> escape_from b pos s run (i + 1)
 
-let escape buf s =
-  Buffer.add_char buf '"';
-  escape_from buf s 0 0;
-  Buffer.add_char buf '"'
+let escape b pos s =
+  Bytes.set b pos '"';
+  let pos = escape_from b (pos + 1) s 0 0 in
+  Bytes.set b pos '"';
+  pos + 1
 
-(* [string_of_int]'s bytes, without the intermediate string: the
-   digits of [x <= 0], most significant first, so [min_int] needs no
-   special case *)
-let rec add_nonpos buf x =
-  if x <= -10 then add_nonpos buf (x / 10);
-  Buffer.add_char buf (Char.unsafe_chr (48 - (x mod 10)))
+(* [string_of_int]'s length and bytes, without the intermediate string.
+   The digits are taken from [x <= 0], so [min_int] needs no special
+   case. *)
+let int_size x =
+  let rec digits x n = if x <= -10 then digits (x / 10) (n + 1) else n in
+  if x < 0 then digits x 2 else digits (-x) 1
 
-let add_int buf x =
+(* the digits of [x <= 0], least significant at [i] *)
+let rec blit_digits b x i =
+  Bytes.set b i (Char.unsafe_chr (48 - (x mod 10)));
+  if x <= -10 then blit_digits b (x / 10) (i - 1)
+
+let blit_int b pos x =
+  let stop = pos + int_size x in
   if x < 0 then begin
-    Buffer.add_char buf '-';
-    add_nonpos buf x
+    Bytes.set b pos '-';
+    blit_digits b x (stop - 1)
   end
-  else add_nonpos buf (-x)
+  else blit_digits b (-x) (stop - 1);
+  stop
 
 let float_repr f =
   (* JSON has no NaN/Infinity; clamp to null-ish sentinels is overkill for
@@ -61,70 +94,101 @@ let float_repr f =
 
 (* the pretty form breaks the line and indents [level] steps before each
    item and each closing bracket; the compact form writes nothing *)
-let newline buf ~indent level =
+let newline_size ~indent level = if indent then 1 + (2 * level) else 0
+
+let newline b pos ~indent level =
   if indent then begin
-    Buffer.add_char buf '\n';
-    for _ = 1 to level do
-      Buffer.add_string buf "  "
-    done
+    Bytes.set b pos '\n';
+    Bytes.fill b (pos + 1) (2 * level) ' ';
+    pos + 1 + (2 * level)
   end
+  else pos
 
-let rec emit buf ~indent level = function
-  | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> add_int buf i
-  | Float f -> Buffer.add_string buf (float_repr f)
-  | String s -> escape buf s
-  | List [] -> Buffer.add_string buf "[]"
-  | List (item :: items) ->
-      Buffer.add_char buf '[';
-      newline buf ~indent (level + 1);
-      emit buf ~indent (level + 1) item;
-      emit_items buf ~indent (level + 1) items;
-      newline buf ~indent level;
-      Buffer.add_char buf ']'
-  | Obj [] -> Buffer.add_string buf "{}"
-  | Obj (field :: fields) ->
-      Buffer.add_char buf '{';
-      newline buf ~indent (level + 1);
-      emit_field buf ~indent (level + 1) field;
-      emit_fields buf ~indent (level + 1) fields;
-      newline buf ~indent level;
-      Buffer.add_char buf '}'
+let rec size ~indent level = function
+  | Null -> 4
+  | Bool b -> if b then 4 else 5
+  | Int i -> int_size i
+  | Float f -> String.length (float_repr f)
+  | String s -> escaped_size s
+  | List [] | Obj [] -> 2
+  | List items ->
+      items_size ~indent (level + 1) items + 1 + newline_size ~indent level
+  | Obj fields ->
+      fields_size ~indent (level + 1) fields + 1 + newline_size ~indent level
 
-and emit_items buf ~indent level = function
-  | [] -> ()
+(* each item with its separator (the opening bracket stands in for the
+   first one) and the line break before it *)
+and items_size ~indent level = function
+  | [] -> 0
   | item :: items ->
-      Buffer.add_char buf ',';
-      newline buf ~indent level;
-      emit buf ~indent level item;
-      emit_items buf ~indent level items
+      1 + newline_size ~indent level + size ~indent level item
+      + items_size ~indent level items
 
-and emit_field buf ~indent level (k, v) =
-  escape buf k;
-  Buffer.add_string buf (if indent then ": " else ":");
-  emit buf ~indent level v
+and fields_size ~indent level = function
+  | [] -> 0
+  | (k, v) :: fields ->
+      1 + newline_size ~indent level + escaped_size k
+      + (if indent then 2 else 1)
+      + size ~indent level v
+      + fields_size ~indent level fields
 
-and emit_fields buf ~indent level = function
-  | [] -> ()
-  | field :: fields ->
-      Buffer.add_char buf ',';
-      newline buf ~indent level;
-      emit_field buf ~indent level field;
-      emit_fields buf ~indent level fields
+let blit_word b pos w =
+  Bytes.blit_string w 0 b pos (String.length w);
+  pos + String.length w
 
-let to_buffer buf v = emit buf ~indent:false 0 v
+let rec emit b pos ~indent level = function
+  | Null -> blit_word b pos "null"
+  | Bool x -> blit_word b pos (if x then "true" else "false")
+  | Int i -> blit_int b pos i
+  | Float f -> blit_word b pos (float_repr f)
+  | String s -> escape b pos s
+  | List [] -> blit_word b pos "[]"
+  | Obj [] -> blit_word b pos "{}"
+  | List items ->
+      let pos = emit_items b pos '[' ~indent (level + 1) items in
+      let pos = newline b pos ~indent level in
+      Bytes.set b pos ']';
+      pos + 1
+  | Obj fields ->
+      let pos = emit_fields b pos '{' ~indent (level + 1) fields in
+      let pos = newline b pos ~indent level in
+      Bytes.set b pos '}';
+      pos + 1
+
+(* [sep] goes before the first item (the opening bracket), ',' before
+   every other *)
+and emit_items b pos sep ~indent level = function
+  | [] -> pos
+  | item :: items ->
+      Bytes.set b pos sep;
+      let pos = newline b (pos + 1) ~indent level in
+      let pos = emit b pos ~indent level item in
+      emit_items b pos ',' ~indent level items
+
+and emit_fields b pos sep ~indent level = function
+  | [] -> pos
+  | (k, v) :: fields ->
+      Bytes.set b pos sep;
+      let pos = newline b (pos + 1) ~indent level in
+      let pos = escape b pos k in
+      let pos = blit_word b pos (if indent then ": " else ":") in
+      let pos = emit b pos ~indent level v in
+      emit_fields b pos ',' ~indent level fields
+
+let compact_size v = size ~indent:false 0 v
+
+let blit b pos v = emit b pos ~indent:false 0 v
 
 let to_string v =
-  let buf = Buffer.create 256 in
-  to_buffer buf v;
-  Buffer.contents buf
+  let b = Bytes.create (compact_size v) in
+  ignore (blit b 0 v);
+  Bytes.unsafe_to_string b
 
 let to_string_pretty v =
-  let buf = Buffer.create 1024 in
-  emit buf ~indent:true 0 v;
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
+  let n = size ~indent:true 0 v in
+  let b = Bytes.create (n + 1) in
+  Bytes.set b (emit b 0 ~indent:true 0 v) '\n';
+  Bytes.unsafe_to_string b
 
 (* ------------------------------------------------------------------ *)
 (* Parsing — a recursive-descent reader for the dialect we emit, plus  *)
@@ -167,6 +231,21 @@ let literal c word v =
   end
   else error c "bad literal"
 
+(* the value of four hex digits, or -1 when [hex] is anything else *)
+let hex4 hex =
+  let digit ch =
+    match ch with
+    | '0' .. '9' -> Char.code ch - 48
+    | 'a' .. 'f' -> Char.code ch - 87
+    | 'A' .. 'F' -> Char.code ch - 55
+    | _ -> -1
+  in
+  String.fold_left
+    (fun acc ch ->
+      let d = digit ch in
+      if acc < 0 || d < 0 then -1 else (acc * 16) + d)
+    0 hex
+
 (* the cursor is just past a backslash *)
 let unescape c buf =
   if c.i >= c.lim then error c "bad escape";
@@ -187,9 +266,10 @@ let unescape c buf =
       c.i <- c.i + 1;
       if c.i + 4 > c.lim then error c "truncated \\u escape";
       let hex = String.sub c.s c.i 4 in
-      (match int_of_string_opt ("0x" ^ hex) with
-      | Some code when code < 0x80 -> Buffer.add_char buf (Char.chr code)
-      | Some code ->
+      (match hex4 hex with
+      | code when code < 0 -> error c "bad \\u escape %S" hex
+      | code when code < 0x80 -> Buffer.add_char buf (Char.chr code)
+      | code ->
           (* non-ASCII escapes: re-encode as UTF-8 *)
           if code < 0x800 then begin
             Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
@@ -199,8 +279,7 @@ let unescape c buf =
             Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
             Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
             Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-          end
-      | None -> error c "bad \\u escape %S" hex);
+          end);
       c.i <- c.i + 4
   | _ -> error c "bad escape"
 

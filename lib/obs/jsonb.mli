@@ -18,10 +18,27 @@ val to_string : t -> string
 (** Compact (single-line) serialization with full string escaping:
     ['"'], ['\\'], newline, carriage return and tab get their two-byte
     escapes, the other bytes below [0x20] [\u00XX], and every other
-    byte (UTF-8 included) is copied as it is, by runs. *)
+    byte (UTF-8 included) is copied as it is, by runs. A size pass
+    comes first, so the text is written once, into a string of exactly
+    its length. *)
 
-val to_buffer : Buffer.t -> t -> unit
-(** [to_string], appended to a buffer. *)
+val compact_size : t -> int
+(** [String.length (to_string v)], without printing. *)
+
+val blit : Bytes.t -> int -> t -> int
+(** [blit b pos v] writes [to_string v] into [b] at [pos] and returns
+    the position just past it: the emitter of {!to_string}, for callers
+    that assemble several documents into one byte run.
+    @raise Invalid_argument if the text does not fit in [b]. *)
+
+val int_size : int -> int
+(** [String.length (string_of_int x)], without printing. *)
+
+val blit_int : Bytes.t -> int -> int -> int
+(** [blit_int b pos x] writes [string_of_int x] into [b] at [pos] and
+    returns the position just past it — the integer printer of
+    {!to_string}, [min_int] included.
+    @raise Invalid_argument if the digits do not fit in [b]. *)
 
 val to_string_pretty : t -> string
 (** Two-space indented serialization, trailing newline. The same emitter
@@ -32,7 +49,8 @@ val of_string : string -> (t, string) result
     escapes and whitespace). Numbers containing ['.'], ['e'] or ['E']
     become [Float] (through [float_of_string_opt]), the rest [Int]
     (through [int_of_string_opt], so an out-of-range integer is an
-    error); object field order is preserved. Errors read
+    error); a [\u] escape takes exactly four hex digits; object field
+    order is preserved. Errors read
     ["at <offset>: <reason>"].
 
     Round-trip law: [of_string (to_string v) = Ok v] and

@@ -390,40 +390,94 @@ let lattice_payload ?kmax ?sym pred =
 
 let default_max_frame = 1 lsl 20
 
-(* append one frame to [out], rendering the payload through [scratch]
-   first, since the header needs its length *)
-let add_frame out scratch json =
-  Buffer.clear scratch;
-  J.to_buffer scratch json;
-  Buffer.add_string out (string_of_int (Buffer.length scratch));
-  Buffer.add_char out '\n';
-  Buffer.add_buffer out scratch;
-  Buffer.add_char out '\n'
+(* ---- replies and the frame writer ------------------------------- *)
+
+type reply = Json of J.t | Payload of int * string
+
+(* [{"id":], the id, [,"ok":true,"result":], the text and [}]: the
+   bytes of [ok_response ~id] around a payload already printed *)
+let ok_head = "{\"id\":"
+
+let ok_mid = ",\"ok\":true,\"result\":"
+
+let payload_size = function
+  | Json j -> J.compact_size j
+  | Payload (id, text) ->
+      String.length ok_head + J.int_size id + String.length ok_mid
+      + String.length text + 1
+
+let frame_size n = J.int_size n + n + 2
+
+let put b pos s =
+  Bytes.blit_string s 0 b pos (String.length s);
+  pos + String.length s
+
+(* the frame of [reply], whose payload is [n] bytes, at [pos] *)
+let blit_frame b pos reply n =
+  let pos = J.blit_int b pos n in
+  Bytes.set b pos '\n';
+  let pos =
+    match reply with
+    | Json j -> J.blit b (pos + 1) j
+    | Payload (id, text) ->
+        let pos = J.blit_int b (put b (pos + 1) ok_head) id in
+        let pos = put b (put b pos ok_mid) text in
+        Bytes.set b pos '}';
+        pos + 1
+  in
+  Bytes.set b pos '\n';
+  pos + 1
+
+let json_of_reply = function
+  | Json j -> j
+  | Payload (id, text) -> (
+      match J.of_string text with
+      | Ok payload -> ok_response ~id payload
+      | Error e -> invalid_arg ("Codec.json_of_reply: " ^ e))
+
+type writer = { mutable out : Bytes.t; mutable len : int }
+
+let writer_of_size n = { out = Bytes.create n; len = 0 }
+
+let writer () = writer_of_size 4096
+
+let add_sized w reply n =
+  let need = w.len + frame_size n in
+  if need > Bytes.length w.out then begin
+    let nb = Bytes.create (max need (2 * Bytes.length w.out)) in
+    Bytes.blit w.out 0 nb 0 w.len;
+    w.out <- nb
+  end;
+  w.len <- blit_frame w.out w.len reply n
+
+let add_reply w reply = add_sized w reply (payload_size reply)
+
+let flush fd w =
+  let written = ref 0 in
+  while !written < w.len do
+    written := !written + Unix.write fd w.out !written (w.len - !written)
+  done;
+  w.len <- 0
 
 let encode_frame json =
-  let out = Buffer.create 256 in
-  add_frame out (Buffer.create 256) json;
-  Buffer.contents out
-
-let write_all fd s =
-  let b = Bytes.unsafe_of_string s in
-  let n = Bytes.length b in
-  let written = ref 0 in
-  while !written < n do
-    written := !written + Unix.write fd b !written (n - !written)
-  done
-
-let write_frame fd json = write_all fd (encode_frame json)
+  let reply = Json json in
+  let n = payload_size reply in
+  let b = Bytes.create (frame_size n) in
+  ignore (blit_frame b 0 reply n);
+  Bytes.unsafe_to_string b
 
 let write_frames fd jsons =
-  (* one buffer, one syscall batch for a whole pipeline's worth of
-     responses *)
-  match jsons with
-  | [] -> ()
-  | jsons ->
-      let out = Buffer.create 1024 and scratch = Buffer.create 256 in
-      List.iter (add_frame out scratch) jsons;
-      write_all fd (Buffer.contents out)
+  (* one exact-size run, one syscall batch for a whole pipeline's worth
+     of frames *)
+  let sized = List.map (fun j -> (Json j, J.compact_size j)) jsons in
+  let w =
+    writer_of_size
+      (List.fold_left (fun acc (_, n) -> acc + frame_size n) 0 sized)
+  in
+  List.iter (fun (r, n) -> add_sized w r n) sized;
+  flush fd w
+
+let write_frame fd json = write_frames fd [ json ]
 
 (* The reader buffers whatever the descriptor delivers and parses frames
    out of the buffer, so several pipelined frames arriving in one read

@@ -141,15 +141,54 @@ val max_kmax : int
 val default_max_frame : int
 (** 1 MiB. *)
 
+(** {2 Replies and the frame writer}
+
+    A reply is either a JSON tree ([Json]: errors, [stats], batches) or
+    an [ok] response around a payload already printed ([Payload (id,
+    text)]: every computed result, and every cache hit). Both go out
+    through one frame writer, which prints straight into bytes it has
+    sized first: no frame is rendered to a scratch buffer and copied.
+
+    The splice contract: the frame of [Payload (id, text)] is
+    [<len>\n{"id":<id>,"ok":true,"result":<text>}\n] with
+    [len = 6 + String.length (string_of_int id) + 20 + String.length
+    text + 1], the id printed by {!Mo_obs.Jsonb.blit_int}. When [text]
+    is [Jsonb.to_string payload], these are exactly the bytes of
+    [encode_frame (ok_response ~id payload)], negative ids and
+    [min_int] included. *)
+
+type reply = Json of Mo_obs.Jsonb.t | Payload of int * string
+
+val json_of_reply : reply -> Mo_obs.Jsonb.t
+(** The reply as a tree; a [Payload]'s text is parsed back, which is
+    exact for every payload without floats (no cached payload has one).
+    @raise Invalid_argument if a [Payload]'s text is not JSON. *)
+
+type writer
+(** A growable byte run of whole frames, reused across groups and never
+    shrunk — the reply-side twin of {!reader}. One per connection. *)
+
+val writer : unit -> writer
+(** An empty writer with room for 4 KiB; it grows by doubling, to at
+    least the size a group needs. *)
+
+val add_reply : writer -> reply -> unit
+(** Append the reply's frame. *)
+
+val flush : Unix.file_descr -> writer -> unit
+(** Write every pending frame (retrying partial writes), then empty the
+    writer, keeping its capacity. *)
+
 val encode_frame : Mo_obs.Jsonb.t -> string
+(** One frame, printed into a string of exactly its length. *)
 
 val write_frame : Unix.file_descr -> Mo_obs.Jsonb.t -> unit
 (** Write a whole frame; retries partial writes. *)
 
 val write_frames : Unix.file_descr -> Mo_obs.Jsonb.t list -> unit
-(** Write several frames as one contiguous byte run (one syscall batch
-    in the common case) — how a pipelined connection's responses go out
-    in request order. *)
+(** Write several frames as one contiguous byte run of exactly their
+    size (one syscall batch in the common case) — how the client sends
+    a pipelined group. *)
 
 type reader
 (** Growable buffered frame reader over a file descriptor. Bytes are

@@ -3,7 +3,7 @@ module J = Mo_obs.Jsonb
 module Metrics = Mo_obs.Metrics
 
 type t = {
-  cache : J.t Cache.t;
+  cache : string Cache.t;
   reg : Metrics.t;
   pool : Mo_par.Pool.t;
   clock : unit -> float;
@@ -66,9 +66,18 @@ let cache_stats t =
              (Array.map stripe (Cache.stripe_stats t.cache))) );
     ]
 
-let snapshot t = Cache.snapshot t.cache
+(* the cache holds each payload's compact text; the tree API reads it
+   back, exactly, since no cached payload has a float *)
+let parse_payload text =
+  match J.of_string text with
+  | Ok payload -> payload
+  | Error e -> invalid_arg ("Engine: cached payload is not JSON: " ^ e)
 
-let restore t entries = Cache.restore t.cache entries
+let snapshot t =
+  List.map (fun (k, text) -> (k, parse_payload text)) (Cache.snapshot t.cache)
+
+let restore t entries =
+  Cache.restore t.cache (List.map (fun (k, v) -> (k, J.to_string v)) entries)
 
 let stripe_stats t = Cache.stripe_stats t.cache
 
@@ -118,135 +127,137 @@ let computable (req : Codec.request) =
           fun () -> Codec.lattice_of_key ~kmax k d )
   | Codec.Stats | Codec.Shutdown | Codec.Batch _ -> None
 
-(* admission: None when the request may proceed, Some response when it
-   is already past its deadline relative to its arrival time *)
+let error t ~id msg =
+  Metrics.inc t.c_errors;
+  Codec.Json (Codec.error_response ~id msg)
+
+(* admission: None when the request may proceed, Some reply when it is
+   already past its deadline relative to its arrival time *)
 let check_deadline t ~received (env : Codec.envelope) =
   match env.Codec.deadline_ms with
   | None -> None
   | Some d ->
       if (t.clock () -. received) *. 1000. > float_of_int d then begin
         Metrics.inc t.c_deadline;
-        Metrics.inc t.c_errors;
         Some
-          (Codec.error_response ~id:env.Codec.id
+          (error t ~id:env.Codec.id
              (Printf.sprintf "deadline of %d ms exceeded" d))
       end
       else None
 
 (* what the sequential admission pass decides about one envelope *)
 type admitted =
-  | Done of J.t (* response already known *)
-  | Stop of J.t (* shutdown admitted: respond, then stop the server *)
+  | Done of Codec.reply (* reply already known *)
+  | Stop of Codec.reply (* shutdown admitted: reply, then stop the server *)
   | Miss of int * string option * (unit -> J.t)
     (* id, cache key (None = uncached compute), pure compute *)
 
 let admit t ~received ~in_batch (env : Codec.envelope) =
   Metrics.inc t.c_requests;
   match check_deadline t ~received env with
-  | Some resp -> Done resp
+  | Some reply -> Done reply
   | None -> (
       let id = env.Codec.id in
       match env.Codec.req with
-      | Codec.Stats -> Done (Codec.ok_response ~id (stats_payload t))
+      | Codec.Stats ->
+          Done (Codec.Json (Codec.ok_response ~id (stats_payload t)))
       | Codec.Shutdown ->
-          if in_batch then begin
-            Metrics.inc t.c_errors;
-            Done
-              (Codec.error_response ~id
-                 "shutdown is not allowed inside a batch")
-          end
+          if in_batch then
+            Done (error t ~id "shutdown is not allowed inside a batch")
           else
-            Stop (Codec.ok_response ~id (J.Obj [ ("shutdown", J.Bool true) ]))
-      | Codec.Batch _ ->
-          Metrics.inc t.c_errors;
-          Done (Codec.error_response ~id "batches do not nest")
+            Stop
+              (Codec.Json
+                 (Codec.ok_response ~id (J.Obj [ ("shutdown", J.Bool true) ])))
+      | Codec.Batch _ -> Done (error t ~id "batches do not nest")
       | req -> (
           match computable req with
-          | None ->
-              Metrics.inc t.c_errors;
-              Done (Codec.error_response ~id "unsupported request")
+          | None -> Done (error t ~id "unsupported request")
           | Some ((Some key as k), compute) -> (
               match Cache.find t.cache key with
-              | Some payload -> Done (Codec.ok_response ~id payload)
+              | Some text -> Done (Codec.Payload (id, text))
               | None -> Miss (id, k, compute))
           | Some (None, compute) -> Miss (id, None, compute)))
 
 (* guard a pure compute so a bad predicate or trace can never kill the
-   server; Bad_request carries a message meant for the client *)
+   server; Bad_request carries a message meant for the client. The
+   payload is printed here, once: the cache and the reply share the
+   text. *)
 let run_compute compute =
-  try Ok (compute ()) with
+  try Ok (J.to_string (compute ())) with
   | Codec.Bad_request msg -> Error msg
   | e -> Error ("internal error: " ^ Printexc.to_string e)
 
-let respond t ~id result =
-  match result with
-  | Ok payload -> Codec.ok_response ~id payload
-  | Error msg ->
-      Metrics.inc t.c_errors;
-      Codec.error_response ~id msg
+let respond t ~id = function
+  | Ok text -> Codec.Payload (id, text)
+  | Error msg -> error t ~id msg
 
 let finish_miss t ~id ~key result =
   (match (key, result) with
-  | Some key, Ok payload -> Cache.put t.cache key payload
+  | Some key, Ok text -> Cache.put t.cache key text
   | _ -> ());
   respond t ~id result
 
+let is_miss = function Miss _ -> true | Done _ | Stop _ -> false
+
 (* Resolve an admission pass: compute the distinct missing keys in
    parallel over the pool, insert payloads in first-occurrence order,
-   fill one response per slot in admission order. Shared by batches and
-   pipelined groups — both get byte-identical responses for every job
+   fill one reply per slot in admission order. Shared by batches and
+   pipelined groups — both get byte-identical replies for every job
    count because admission was sequential and this merge is ordered. *)
 let resolve t admitted =
-  (* work units: the first occurrence of each missing cacheable key,
-     plus every uncached miss (those are keyed by their position) *)
-  let seen = Hashtbl.create 16 in
-  let work = ref [] in
-  Array.iteri
-    (fun i a ->
-      match a with
-      | Done _ | Stop _ -> ()
-      | Miss (_, Some key, compute) ->
-          if not (Hashtbl.mem seen key) then begin
-            Hashtbl.replace seen key ();
-            work := (i, Some key, compute) :: !work
-          end
-      | Miss (_, None, compute) -> work := (i, None, compute) :: !work)
-    admitted;
-  let work = Array.of_list (List.rev !work) in
-  let results =
-    Mo_par.Pool.map t.pool (Array.length work) ~f:(fun i ->
-        let _, _, compute = work.(i) in
-        run_compute compute)
-  in
-  let by_key = Hashtbl.create 16 in
-  let by_slot = Hashtbl.create 16 in
-  Array.iteri
-    (fun i result ->
-      match work.(i) with
-      | _, Some key, _ ->
-          (match result with
-          | Ok payload -> Cache.put t.cache key payload
-          | Error _ -> ());
-          Hashtbl.replace by_key key result
-      | slot, None, _ -> Hashtbl.replace by_slot slot result)
-    results;
-  let lost ~id =
-    Metrics.inc t.c_errors;
-    Codec.error_response ~id "internal error: result lost"
-  in
-  Array.mapi
-    (fun i a ->
-      match a with
-      | Done resp | Stop resp -> resp
-      | Miss (id, Some key, _) -> (
-          match Hashtbl.find_opt by_key key with
-          | Some result -> respond t ~id result
-          | None -> lost ~id)
-      | Miss (id, None, _) -> (
-          match Hashtbl.find_opt by_slot i with
-          | Some result -> respond t ~id result
-          | None -> lost ~id))
-    admitted
+  if not (Array.exists is_miss admitted) then
+    (* all hits: no work tables, no pool round trip *)
+    Array.map (function Done r | Stop r -> r | Miss _ -> assert false)
+      admitted
+  else begin
+    (* work units: the first occurrence of each missing cacheable key,
+       plus every uncached miss (those are keyed by their position) *)
+    let seen = Hashtbl.create 16 in
+    let work = ref [] in
+    Array.iteri
+      (fun i a ->
+        match a with
+        | Done _ | Stop _ -> ()
+        | Miss (_, Some key, compute) ->
+            if not (Hashtbl.mem seen key) then begin
+              Hashtbl.replace seen key ();
+              work := (i, Some key, compute) :: !work
+            end
+        | Miss (_, None, compute) -> work := (i, None, compute) :: !work)
+      admitted;
+    let work = Array.of_list (List.rev !work) in
+    let results =
+      Mo_par.Pool.map t.pool (Array.length work) ~f:(fun i ->
+          let _, _, compute = work.(i) in
+          run_compute compute)
+    in
+    let by_key = Hashtbl.create 16 in
+    let by_slot = Hashtbl.create 16 in
+    Array.iteri
+      (fun i result ->
+        match work.(i) with
+        | _, Some key, _ ->
+            (match result with
+            | Ok text -> Cache.put t.cache key text
+            | Error _ -> ());
+            Hashtbl.replace by_key key result
+        | slot, None, _ -> Hashtbl.replace by_slot slot result)
+      results;
+    let lost ~id = error t ~id "internal error: result lost" in
+    Array.mapi
+      (fun i a ->
+        match a with
+        | Done reply | Stop reply -> reply
+        | Miss (id, Some key, _) -> (
+            match Hashtbl.find_opt by_key key with
+            | Some result -> respond t ~id result
+            | None -> lost ~id)
+        | Miss (id, None, _) -> (
+            match Hashtbl.find_opt by_slot i with
+            | Some result -> respond t ~id result
+            | None -> lost ~id))
+      admitted
+  end
 
 let handle_batch t ~received envs =
   Metrics.inc t.c_batches;
@@ -255,35 +266,42 @@ let handle_batch t ~received envs =
   in
   Array.to_list (resolve t admitted)
 
-let serve t ?received (env : Codec.envelope) =
+let serve_reply t ?received (env : Codec.envelope) =
   let received =
     match received with Some r -> r | None -> t.clock ()
   in
   match env.Codec.req with
   | Codec.Batch envs -> (
       match check_deadline t ~received env with
-      | Some resp -> (resp, false)
+      | Some reply -> (reply, false)
       | None ->
           Metrics.inc t.c_requests;
-          let responses = handle_batch t ~received envs in
-          ( Codec.ok_response ~id:env.Codec.id
-              (J.Obj [ ("responses", J.List responses) ]),
+          let replies = handle_batch t ~received envs in
+          ( Codec.Json
+              (Codec.ok_response ~id:env.Codec.id
+                 (J.Obj
+                    [
+                      ( "responses",
+                        J.List (List.map Codec.json_of_reply replies) );
+                    ])),
             false ))
   | _ -> (
       match admit t ~received ~in_batch:false env with
-      | Done resp -> (resp, false)
-      | Stop resp -> (resp, true)
+      | Done reply -> (reply, false)
+      | Stop reply -> (reply, true)
       | Miss (id, key, compute) ->
           (finish_miss t ~id ~key (run_compute compute), false))
+
+let serve t ?received env =
+  let reply, stop = serve_reply t ?received env in
+  (Codec.json_of_reply reply, stop)
 
 let handle t ?received env = fst (serve t ?received env)
 
 let serve_json t ?received json =
   match Codec.request_of_json json with
   | Ok env -> serve t ?received env
-  | Error (id, msg) ->
-      Metrics.inc t.c_errors;
-      (Codec.error_response ~id msg, false)
+  | Error (id, msg) -> (Codec.json_of_reply (error t ~id msg), false)
 
 let handle_json t ?received json = fst (serve_json t ?received json)
 
@@ -291,14 +309,14 @@ let handle_json t ?received json = fst (serve_json t ?received json)
 
 (* A pipelined slot: either admitted into the shared resolve pass, or
    answered whole at its position (batches run their own resolve; parse
-   errors have their response already). *)
-type slot = Simple of admitted | Whole of J.t * bool
+   errors have their reply already). *)
+type slot = Simple of admitted | Whole of Codec.reply * bool
 
 let slot_of_env t ~received (env : Codec.envelope) =
   match env.Codec.req with
   | Codec.Batch _ ->
-      let resp, stop = serve t ~received env in
-      Whole (resp, stop)
+      let reply, stop = serve_reply t ~received env in
+      Whole (reply, stop)
   | _ -> Simple (admit t ~received ~in_batch:false env)
 
 let serve_slots t slots =
@@ -311,33 +329,36 @@ let serve_slots t slots =
   let resolved = resolve t simple in
   let k = ref 0 in
   let stop = ref false in
-  let responses =
+  let replies =
     List.map
       (function
-        | Whole (resp, s) ->
+        | Whole (reply, s) ->
             if s then stop := true;
-            resp
+            reply
         | Simple a ->
-            let resp = resolved.(!k) in
+            let reply = resolved.(!k) in
             incr k;
             (match a with Stop _ -> stop := true | Done _ | Miss _ -> ());
-            resp)
+            reply)
       slots
   in
-  (responses, !stop)
+  (replies, !stop)
+
+let trees (replies, stop) = (List.map Codec.json_of_reply replies, stop)
 
 let serve_many t ?received envs =
   let received = match received with Some r -> r | None -> t.clock () in
-  serve_slots t (List.map (slot_of_env t ~received) envs)
+  trees (serve_slots t (List.map (slot_of_env t ~received) envs))
 
-let serve_json_many t ?received jsons =
+let serve_replies t ?received jsons =
   let received = match received with Some r -> r | None -> t.clock () in
   serve_slots t
     (List.map
        (fun json ->
          match Codec.request_of_json json with
          | Ok env -> slot_of_env t ~received env
-         | Error (id, msg) ->
-             Metrics.inc t.c_errors;
-             Whole (Codec.error_response ~id msg, false))
+         | Error (id, msg) -> Whole (error t ~id msg, false))
        jsons)
+
+let serve_json_many t ?received jsons =
+  trees (serve_replies t ?received jsons)

@@ -13,6 +13,16 @@
     property the bench gate pins). [stats] and [shutdown] are never
     cached.
 
+    The cache holds wire text: a miss prints its payload once
+    ({!Mo_obs.Jsonb.to_string}, on the pool domain that computed it),
+    caches that text and replies with it; a hit replies with the cached
+    text as it is ([Codec.Payload]), building no tree. The reply-level
+    entry points ({!serve_reply}, {!serve_replies}) are what mopcd
+    serves. The tree API ({!handle}, {!serve}, {!serve_many},
+    {!serve_json_many}, {!snapshot}) parses each payload's text back —
+    exact, since no cached payload contains a float — so its responses
+    are the same trees as ever, at the cost of one parse per reply.
+
     Batches: sub-requests are admitted (deadline check, cache lookup) in
     order on the caller's domain; the payloads of the distinct missing
     keys are then computed in parallel over the worker pool and inserted
@@ -48,14 +58,24 @@ val cache_stats : t -> Mo_obs.Jsonb.t
 
 val snapshot : t -> (string * Mo_obs.Jsonb.t) list
 (** The resident decision table, in the order {!restore} wants —
-    what [--persist] writes at shutdown (see {!Cache.snapshot}). *)
+    what [--persist] writes at shutdown (see {!Cache.snapshot}). Each
+    entry's text is parsed back into its tree. *)
 
 val restore : t -> (string * Mo_obs.Jsonb.t) list -> int
-(** Warm the decision table from a persisted snapshot; returns entries
-    processed. Does not count hits or misses ({!Cache.restore}). *)
+(** Warm the decision table from a persisted snapshot (each payload
+    printed to its text); returns entries processed. Does not count hits
+    or misses ({!Cache.restore}). *)
 
 val stripe_stats : t -> Cache.stats array
 (** Per-stripe cache accounting — the striping tests' probe. *)
+
+val serve_reply : t -> ?received:float -> Codec.envelope -> Codec.reply * bool
+(** The reply to one request, plus whether the envelope was an
+    {e admitted} top-level [Shutdown] (deadline-expired shutdowns report
+    [false]) — the flag the server's accept loop stops on. A cache hit
+    or a fresh result is a [Payload] carrying the cached text; errors,
+    [stats], [shutdown] and batches are [Json] trees. Never raises on
+    any input. *)
 
 val handle : t -> ?received:float -> Codec.envelope -> Mo_obs.Jsonb.t
 (** The response (an [ok]/[error] object echoing the request id).
@@ -70,10 +90,7 @@ val handle : t -> ?received:float -> Codec.envelope -> Mo_obs.Jsonb.t
     on any input. *)
 
 val serve : t -> ?received:float -> Codec.envelope -> Mo_obs.Jsonb.t * bool
-(** [handle] plus whether the envelope was an {e admitted} top-level
-    [Shutdown] (deadline-expired shutdowns report [false]) — the flag
-    the server's accept loop stops on, so frames are parsed exactly
-    once. *)
+(** {!serve_reply} as a tree: [handle] plus the shutdown flag. *)
 
 val handle_json : t -> ?received:float -> Mo_obs.Jsonb.t -> Mo_obs.Jsonb.t
 (** Parse and handle; a request that does not parse yields an error
@@ -95,7 +112,14 @@ val serve_many :
     some envelope was an admitted top-level [Shutdown]; later envelopes
     in the group are still answered. *)
 
+val serve_replies :
+  t -> ?received:float -> Mo_obs.Jsonb.t list -> Codec.reply list * bool
+(** Parse and serve a pipelined group as {!serve_many} does, returning
+    replies; unparsable members yield error replies in their slots. The
+    server's decode-ahead path: it splices the group into the
+    connection's {!Codec.writer}. A group of cache hits builds no tree
+    and allocates none of the resolve pass's work tables. *)
+
 val serve_json_many :
   t -> ?received:float -> Mo_obs.Jsonb.t list -> Mo_obs.Jsonb.t list * bool
-(** Parse and {!serve_many}; unparsable members yield error responses in
-    their slots. The server's decode-ahead path. *)
+(** {!serve_replies} as trees. *)

@@ -130,10 +130,14 @@ let serve_connection cfg engine conn =
       with Unix.Unix_error _ -> ())
   | Uds _ -> ());
   let r = Codec.reader conn in
+  (* every reply of this connection goes out through one reused writer *)
+  let w = Codec.writer () in
   let shutdown = ref false in
   let hangup e =
     (* framing is broken: answer if possible, then hang up *)
-    (try Codec.write_frame conn (Codec.error_response ~id:0 e)
+    (try
+       Codec.add_reply w (Codec.Json (Codec.error_response ~id:0 e));
+       Codec.flush conn w
      with Unix.Unix_error _ | Sys_error _ -> ());
     log "closing connection: %s" e
   in
@@ -159,10 +163,11 @@ let serve_connection cfg engine conn =
             | `Error e -> (List.rev acc, Some e)
         in
         let group, frame_err = gather [ json ] 1 in
-        let responses, wants_shutdown =
-          Engine.serve_json_many engine ~received group
+        let replies, wants_shutdown =
+          Engine.serve_replies engine ~received group
         in
-        Codec.write_frames conn responses;
+        List.iter (Codec.add_reply w) replies;
+        Codec.flush conn w;
         let served = served + List.length group in
         if wants_shutdown then shutdown := true
         else (

@@ -18,7 +18,10 @@
     Pipelining: within a connection the server decodes ahead — frames
     that have already arrived (up to [pipeline_depth]) are admitted as
     one group, their distinct cache misses computed in parallel, and
-    the responses written back in request order in one batch.
+    the replies ({!Engine.serve_replies}) spliced in request order into
+    the connection's one {!Codec.writer} and written back in one batch,
+    from the writer's own bytes. A cache hit goes out as the cached
+    wire text; no tree is built or printed for it. 
 
     Failure containment, in decreasing severity:
     - a frame that does not parse as JSON, or a request with a bad op or

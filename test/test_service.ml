@@ -114,6 +114,122 @@ let test_frame_nonblock () =
       Unix.close wr;
       check_bool "eof" true (Codec.read_frame_nonblock r = `Eof))
 
+(* ---- the reply path: spliced payload frames and the writer ---- *)
+
+(* every frame a writer flushes for [replies], read back off a pipe *)
+let flushed w replies =
+  with_pipe (fun rd wr ->
+      List.iter (Codec.add_reply w) replies;
+      Codec.flush wr w;
+      Unix.close wr;
+      let out = Buffer.create 4096 and b = Bytes.create 4096 in
+      let rec drain () =
+        match Unix.read rd b 0 4096 with
+        | 0 -> Buffer.contents out
+        | n ->
+            Buffer.add_subbytes out b 0 n;
+            drain ()
+      in
+      drain ())
+
+(* the bytes the tree emitter gives the same replies *)
+let encoded replies =
+  String.concat ""
+    (List.map (fun r -> Codec.encode_frame (Codec.json_of_reply r)) replies)
+
+let splice_ids = [ 0; 9; 10; max_int; -1; min_int ]
+
+(* every cacheable payload kind over the catalog: classify, witness and
+   lattice of each entry, implies and minimize of each entry with the
+   next *)
+let catalog_payloads =
+  lazy
+    (let preds =
+       Array.of_list
+         (List.map (fun (e : Mo_core.Catalog.entry) -> e.pred)
+            Mo_core.Catalog.all)
+     in
+     let n = Array.length preds in
+     List.concat
+       (List.init n (fun i ->
+            let p = preds.(i) and q = preds.((i + 1) mod n) in
+            [
+              Codec.classify_payload p;
+              Codec.witness_payload p;
+              Codec.lattice_payload p;
+              Codec.implies_payload p q;
+              Codec.minimize_payload [ p; q ];
+            ])))
+
+(* (a) a spliced frame is byte for byte the tree emitter's frame *)
+let test_splice_differential () =
+  let w = Codec.writer () in
+  List.iter
+    (fun payload ->
+      let text = J.to_string payload in
+      List.iter
+        (fun id ->
+          let want = Codec.encode_frame (Codec.ok_response ~id payload) in
+          check_string
+            (Printf.sprintf "id %d" id)
+            want
+            (flushed w [ Codec.Payload (id, text) ]))
+        splice_ids)
+    (Lazy.force catalog_payloads)
+
+(* (b) one writer through groups that outgrow its initial 4 KiB, then
+   shrink: each flush is exactly a fresh encoding of its group *)
+let test_writer_reuse () =
+  let payloads = Array.of_list (Lazy.force catalog_payloads) in
+  let reply i =
+    let payload = payloads.(i mod Array.length payloads) in
+    if i mod 7 = 3 then Codec.Json (Codec.error_response ~id:i "no")
+    else Codec.Payload (i, J.to_string payload)
+  in
+  let w = Codec.writer () in
+  List.iter
+    (fun (first, count) ->
+      let group = List.init count (fun k -> reply (first + k)) in
+      let want = encoded group in
+      check_string (Printf.sprintf "group of %d" count) want (flushed w group))
+    [ (0, 2); (2, 40); (42, 1); (43, 0); (44, 25); (69, 3); (72, 1) ]
+
+(* the splice and its parse-back, over random float-free payloads and
+   ids: bytes equal the tree emitter's, and the tree comes back whole *)
+let rec gen_payload rng depth =
+  match Prop.int_range 0 (if depth = 0 then 3 else 5) rng with
+  | 0 -> J.Null
+  | 1 -> J.Bool (Random.State.bool rng)
+  | 2 ->
+      J.Int
+        (Prop.oneof [ 0; -1; max_int; min_int; Random.State.bits rng ] rng)
+  | 3 ->
+      J.String
+        (String.init (Prop.int_range 0 8 rng) (fun _ ->
+             Char.chr (Random.State.int rng 256)))
+  | 4 ->
+      J.List
+        (List.init (Prop.int_range 0 3 rng) (fun _ ->
+             gen_payload rng (depth - 1)))
+  | _ ->
+      J.Obj
+        (List.init (Prop.int_range 0 3 rng) (fun i ->
+             (string_of_int i, gen_payload rng (depth - 1))))
+
+let test_splice_property =
+  Prop.test ~count:2_000 ~seed:2401 ~name:"splice = tree emit"
+    (Prop.pair
+       (fun rng ->
+         Prop.oneof splice_ids rng
+         + if Random.State.bool rng then 0 else Random.State.bits rng)
+       (fun rng -> gen_payload rng 3))
+    ~pp:(fun (id, p) -> Printf.sprintf "id %d, %s" id (J.to_string p))
+    (fun (id, payload) ->
+      let reply = Codec.Payload (id, J.to_string payload) in
+      let tree = Codec.ok_response ~id payload in
+      Codec.json_of_reply reply = tree
+      && flushed (Codec.writer ()) [ reply ] = Codec.encode_frame tree)
+
 (* ---- cache ---- *)
 
 let test_cache_lru () =
@@ -1287,6 +1403,82 @@ let test_daemon_persist_warm_restart () =
   graceful_shutdown pid2 path;
   Sys.remove snap
 
+(* one raw request frame over a fresh connection; the reply's bytes as
+   the daemon wrote them *)
+let raw_call path frame =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX path);
+      write_all fd frame;
+      let buf = Buffer.create 2048 and b = Bytes.create 4096 in
+      (* header, then the payload and its terminator *)
+      let rec until_complete () =
+        let s = Buffer.contents buf in
+        match String.index_opt s '\n' with
+        | Some nl
+          when String.length s >= nl + 2 + int_of_string (String.sub s 0 nl)
+          ->
+            s
+        | _ -> (
+            match Unix.read fd b 0 4096 with
+            | 0 -> Alcotest.fail "daemon closed before a whole reply"
+            | n ->
+                Buffer.add_subbytes buf b 0 n;
+                until_complete ())
+      in
+      until_complete ())
+
+(* (c) over the daemon: a renamed hit's reply bytes equal the first
+   miss's, equal the in-process encoding, and survive a --persist
+   restart *)
+let test_daemon_hit_bytes () =
+  let path = tmp_sock "hitbytes" in
+  let snap = Filename.temp_file "mo-snaphit" ".json" in
+  Sys.remove snap;
+  rm path;
+  let frame req =
+    Codec.encode_frame
+      (Codec.request_to_json { Codec.id = 7; deadline_ms = None; req })
+  in
+  let renamed = "a.s < b.s & b.r < a.r" in
+  let queries =
+    [
+      ( "classify",
+        frame (Codec.Classify (pred causal)),
+        frame (Codec.Classify (pred renamed)),
+        Codec.classify_payload (pred causal) );
+      ( "lattice",
+        frame (Codec.Lattice (pred causal, None)),
+        frame (Codec.Lattice (pred renamed, None)),
+        Codec.lattice_payload (pred causal) );
+    ]
+  in
+  let life () =
+    let pid = spawn_daemon ~extra:[ "--persist"; snap ] path in
+    round_trip path;
+    let got =
+      List.map
+        (fun (_, miss, hit, _) -> (raw_call path miss, raw_call path hit))
+        queries
+    in
+    graceful_shutdown pid path;
+    got
+  in
+  let first = life () in
+  let second = life () in
+  List.iter2
+    (fun (name, _, _, payload) ((miss, hit), (miss2, hit2)) ->
+      let want = Codec.encode_frame (Codec.ok_response ~id:7 payload) in
+      check_string (name ^ ": first miss") want miss;
+      check_string (name ^ ": renamed hit") want hit;
+      check_string (name ^ ": after restart") want miss2;
+      check_string (name ^ ": renamed after restart") want hit2)
+    queries
+    (List.combine first second);
+  Sys.remove snap
+
 (* a version-1 snapshot may hold answers from the old silent cycle cap:
    the daemon refuses it, starts cold and recomputes *)
 let test_daemon_persist_v1_cold () =
@@ -1462,6 +1654,10 @@ let () =
           Alcotest.test_case "max_len" `Quick test_frame_max_len;
           Alcotest.test_case "nonblocking decode-ahead" `Quick
             test_frame_nonblock;
+          Alcotest.test_case "splice differential" `Quick
+            test_splice_differential;
+          Alcotest.test_case "writer reuse" `Quick test_writer_reuse;
+          Alcotest.test_case "splice property" `Quick test_splice_property;
           Alcotest.test_case "request json roundtrip" `Quick
             test_request_json_roundtrip;
         ] );
@@ -1515,6 +1711,8 @@ let () =
           Alcotest.test_case "out-of-range integer" `Quick
             test_daemon_int_overflow;
           Alcotest.test_case "tcp transport" `Quick test_tcp_round_trip;
+          Alcotest.test_case "hit bytes = miss bytes" `Quick
+            test_daemon_hit_bytes;
           Alcotest.test_case "persist warm restart" `Quick
             test_daemon_persist_warm_restart;
           Alcotest.test_case "version-1 snapshot starts cold" `Quick

@@ -137,7 +137,8 @@ let json_alphabet = "{}[]:,\"\\/ntrfalsebu0123456789-+.eE \t\n\rxz\000\031\127\2
 let json_snippets =
   [|
     "\\\""; "\\\\"; "\\/"; "\\n"; "\\b"; "\\f"; "\\u0041"; "\\u00e9"; "\\u20ac";
-    "\\uffff"; "\\u12"; "\\uzzzz"; "\\u_123"; "\\u0x12"; "\\x"; "\\";
+    "\\uffff"; "\\u12"; "\\uzzzz"; "\\u_123"; "\\u0x12"; "\\u1_2_";
+    "\\u12_3"; "\\u+123"; "\\u-123"; "\\uABcd"; "\\x"; "\\";
     "99999999999999999999"; "-4611686018427387904"; "4611686018427387904";
     "-4611686018427387905"; "123456789012345678"; "1234567890123456789";
     "9999999999999999999"; "-9999999999999999999";
@@ -342,6 +343,37 @@ let test_dedup =
       Forbidden.conjuncts p = O.dedup Term.conjunct_equal conjuncts
       && Forbidden.guards p = O.dedup Term.guard_equal guards)
 
+(* a \u escape is exactly four hex digits: '_' separators, a sign or a
+   0x prefix, which int_of_string would take, are errors, and the error
+   text is the one every other bad escape gets *)
+let test_unicode_escape () =
+  let parse text =
+    match J.of_string text with
+    | Ok (J.String s) -> Ok s
+    | Ok _ -> Error "not a string"
+    | Error e -> Error e
+  in
+  List.iter
+    (fun (text, want) ->
+      Alcotest.(check (result string string)) text want (parse text);
+      Alcotest.(check (result string string))
+        (text ^ " (oracle)") want
+        (match O.json_of_string text with
+        | Ok (J.String s) -> Ok s
+        | Ok _ -> Error "not a string"
+        | Error e -> Error e))
+    [
+      ({|"\u0041"|}, Ok "A");
+      ({|"\u00e9"|}, Ok "\xc3\xa9");
+      ({|"\uABcd"|}, Ok "\xea\xaf\x8d");
+      ({|"\u1_2_"|}, Error {|at 3: bad \u escape "1_2_"|});
+      ({|"\u12_3"|}, Error {|at 3: bad \u escape "12_3"|});
+      ({|"\u_123"|}, Error {|at 3: bad \u escape "_123"|});
+      ({|"\u+123"|}, Error {|at 3: bad \u escape "+123"|});
+      ({|"\u-123"|}, Error {|at 3: bad \u escape "-123"|});
+      ({|"\u0x12"|}, Error {|at 3: bad \u escape "0x12"|});
+    ]
+
 let () =
   Alcotest.run "wire"
     [
@@ -352,5 +384,7 @@ let () =
             test_pred_differential;
           Alcotest.test_case "printer round trip" `Quick test_printer_roundtrip;
           Alcotest.test_case "linear dedup" `Quick test_dedup;
+          Alcotest.test_case "\\u takes four hex digits" `Quick
+            test_unicode_escape;
         ] );
     ]

@@ -149,7 +149,16 @@ let json_of_string s =
               advance ();
               if !pos + 4 > n then error "truncated \\u escape";
               let hex = String.sub s !pos 4 in
-              (match int_of_string_opt ("0x" ^ hex) with
+              let is_hex = function
+                | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
+                | _ -> false
+              in
+              (* exactly four hex digits: no sign, no '_' separators *)
+              (match
+                 if String.for_all is_hex hex then
+                   int_of_string_opt ("0x" ^ hex)
+                 else None
+               with
               | Some code when code < 0x80 ->
                   Buffer.add_char buf (Char.chr code)
               | Some code ->
