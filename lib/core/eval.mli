@@ -127,7 +127,7 @@ module Masked : sig
     color:int array ->
     bool
   (** {!holds} over the Bitset rows of a {e wide} monitor
-      ({!Mo_order.Monitor.wide_rel}): same plan, same candidate
+      ({!Mo_order.Monitor.Wide.rel}): same plan, same candidate
       filtering, set operations instead of word ops. Allocates scratch
       per call. *)
 

@@ -32,16 +32,17 @@ let check t =
   | None -> (
       let mon = t.mon in
       match
-        if Monitor.is_wide mon then
-          Eval.Masked.find_wide t.matcher ~n:(Monitor.window mon)
-            ~live:(Monitor.wide_live mon) ~rel:(Monitor.wide_rel mon)
-            ~src:(Monitor.slot_src mon) ~dst:(Monitor.slot_dst mon)
-            ~color:(Monitor.slot_color mon)
-        else
-          Eval.Masked.find t.matcher ~n:(Monitor.window mon)
-            ~live:(Monitor.live mon) ~masks:(Monitor.masks mon)
-            ~src:(Monitor.slot_src mon) ~dst:(Monitor.slot_dst mon)
-            ~color:(Monitor.slot_color mon)
+        match Monitor.rep mon with
+        | Monitor.P p ->
+            let open Monitor.Packed in
+            Eval.Masked.find t.matcher ~n:(window p) ~live:(live p)
+              ~masks:(masks p) ~src:(slot_src p) ~dst:(slot_dst p)
+              ~color:(slot_color p)
+        | Monitor.W w ->
+            let open Monitor.Wide in
+            Eval.Masked.find_wide t.matcher ~n:(window w) ~live:(live w)
+              ~rel:(rel w) ~src:(slot_src w) ~dst:(slot_dst w)
+              ~color:(slot_color w)
       with
       | None -> ()
       | Some a ->

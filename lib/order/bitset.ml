@@ -91,17 +91,21 @@ let popcount_byte =
   fun c -> table.(Char.code c)
 
 (* index of the lowest set bit of a non-zero int word: isolate it, then a
-   32-bit de Bruijn lookup on whichever half holds it *)
+   32-bit de Bruijn lookup on whichever half holds it. The lookup index
+   is 5 bits by construction, and the body has no local function, so
+   callers in bit-scan loops get it inlined. *)
 let debruijn =
   "\000\001\028\002\029\014\024\003\030\022\020\015\025\017\004\008\
    \031\027\013\023\021\019\016\007\026\012\018\006\011\005\010\009"
 
-let lowest_bit w =
+let[@inline] debruijn_index h =
+  Char.code
+    (String.unsafe_get debruijn (((h * 0x077CB531) land 0xFFFF_FFFF) lsr 27))
+
+let[@inline] lowest_bit w =
   let b = w land -w in
-  let half h =
-    Char.code debruijn.[((h * 0x077CB531) land 0xFFFF_FFFF) lsr 27]
-  in
-  if b land 0xFFFF_FFFF <> 0 then half b else 32 + half (b lsr 32)
+  if b land 0xFFFF_FFFF <> 0 then debruijn_index b
+  else 32 + debruijn_index (b lsr 32)
 
 let cardinal t =
   let n = ref 0 in

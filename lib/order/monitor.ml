@@ -30,12 +30,45 @@ and sr_t = 5
 and rs_t = 6
 and rr_t = 7
 
+(* or [v] into row [base + k] of [m] for every set bit [k] of [bits]:
+   one step per member, lowest first, and no closure *)
+let or_rows m base bits v =
+  let b = ref bits in
+  while !b <> 0 do
+    let i = base + Bitset.lowest_bit !b in
+    m.(i) <- m.(i) lor v;
+    b := !b land (!b - 1)
+  done
+
+(* delivered slots awaiting retirement, oldest delivery first. A slot is
+   queued at most once per occupancy, so [window] ints always suffice. *)
+module Ring = struct
+  type t = { buf : int array; mutable head : int; mutable len : int }
+
+  let create n = { buf = Array.make n 0; head = 0; len = 0 }
+
+  let wrap r i = if i >= Array.length r.buf then i - Array.length r.buf else i
+
+  let push r k =
+    r.buf.(wrap r (r.head + r.len)) <- k;
+    r.len <- r.len + 1
+
+  (* the oldest slot, or -1 when none is queued *)
+  let pop r =
+    if r.len = 0 then -1
+    else
+      let k = r.buf.(r.head) in
+      r.head <- wrap r (r.head + 1);
+      r.len <- r.len - 1;
+      k
+end
+
 module Packed = struct
   type t = {
     window : int;
     nprocs : int;
     masks : int array; (* 8 * window rows, Run.Abstract section order *)
-    slot_id : int array; (* message id per slot, -1 when free *)
+    slot_id : int array; (* message id per live slot *)
     slot_src : int array;
     slot_dst : int array;
     slot_color : int array; (* -1 = no color *)
@@ -45,8 +78,7 @@ module Packed = struct
     past_s : int array; (* per process *)
     past_r : int array; (* per process *)
     pend_to : int array; (* per process: pending slots addressed to it *)
-    slot_of : (int, int) Hashtbl.t; (* message id -> slot *)
-    retire_q : int Queue.t; (* delivered slots, delivery order *)
+    retire_q : Ring.t; (* delivered slots, delivery order *)
     mutable live : int;
     mutable events : int;
     mutable retired : int;
@@ -67,8 +99,7 @@ module Packed = struct
       past_s = Array.make nprocs 0;
       past_r = Array.make nprocs 0;
       pend_to = Array.make nprocs 0;
-      slot_of = Hashtbl.create (2 * window);
-      retire_q = Queue.create ();
+      retire_q = Ring.create window;
       live = 0;
       events = 0;
       retired = 0;
@@ -90,20 +121,25 @@ module Packed = struct
     !p
 
   let slot_msg t j =
-    if j < 0 || j >= t.window || t.slot_id.(j) < 0 then
+    if j < 0 || j >= t.window || t.live land (1 lsl j) = 0 then
       invalid_arg "Monitor.slot_msg: free slot";
     t.slot_id.(j)
 
   let slot_delivered t j = t.delivered.(0) land (1 lsl j) <> 0
 
-  (* call f on each set bit of [bits]; O(window) regardless of density *)
-  let iter_bits t bits f =
-    if bits <> 0 then
-      for k = 0 to t.window - 1 do
-        if bits land (1 lsl k) <> 0 then f k
-      done
+  (* the live slot holding [msg], or -1: a scan of the slot ids, which
+     at packed widths costs less than hashing and allocates nothing.
+     Any int is a valid id, so a free slot is told by [live], never by
+     its stale id. *)
+  let find t msg =
+    let j = ref (-1) and k = ref 0 in
+    while !j < 0 && !k < t.window do
+      if t.slot_id.(!k) = msg && t.live land (1 lsl !k) <> 0 then j := !k;
+      incr k
+    done;
+    !j
 
-  (* recycle slot k: erase it from every row, past and index *)
+  (* recycle slot k: erase it from every row and past, and free it *)
   let retire t k =
     let keep = lnot (1 lsl k) in
     let m = t.masks in
@@ -121,36 +157,28 @@ module Packed = struct
       t.past_s.(p) <- t.past_s.(p) land keep;
       t.past_r.(p) <- t.past_r.(p) land keep
     done;
-    Hashtbl.remove t.slot_of t.slot_id.(k);
-    t.slot_id.(k) <- -1;
     t.delivered.(0) <- t.delivered.(0) land keep;
     t.live <- t.live land keep;
     t.retired <- t.retired + 1
 
   let full_mask t = (1 lsl t.window) - 1
 
+  (* the lowest free slot, else the oldest delivered one, retired *)
   let alloc t =
-    if t.live <> full_mask t then (
-      let k = ref 0 in
-      while t.live land (1 lsl !k) <> 0 do
-        incr k
-      done;
-      !k)
+    let free = full_mask t land lnot t.live in
+    if free <> 0 then Bitset.lowest_bit free
     else
-      match Queue.take_opt t.retire_q with
-      | Some k ->
-          retire t k;
-          k
-      | None ->
-          invalid_arg "Monitor.send: window exhausted (every slot pending)"
+      let k = Ring.pop t.retire_q in
+      if k < 0 then
+        invalid_arg "Monitor.send: window exhausted (every slot pending)";
+      retire t k;
+      k
 
   let send t ~msg ~src ~dst ~color =
-    if Hashtbl.mem t.slot_of msg then
-      invalid_arg "Monitor.send: duplicate send";
+    if find t msg >= 0 then invalid_arg "Monitor.send: duplicate send";
     let j = alloc t in
     let bj = 1 lsl j in
     let w = t.window and m = t.masks in
-    Hashtbl.replace t.slot_of msg j;
     t.slot_id.(j) <- msg;
     t.slot_src.(j) <- src;
     t.slot_dst.(j) <- dst;
@@ -159,72 +187,63 @@ module Packed = struct
     t.sp_s.(j) <- ps;
     t.sp_r.(j) <- pr;
     (* edges into the new send event: k.s ▷ j.s and k.r ▷ j.s *)
-    iter_bits t ps (fun k -> m.((ss * w) + k) <- m.((ss * w) + k) lor bj);
+    or_rows m (ss * w) ps bj;
     m.((ss_t * w) + j) <- ps;
-    iter_bits t pr (fun k -> m.((rs * w) + k) <- m.((rs * w) + k) lor bj);
+    or_rows m (rs * w) pr bj;
     m.((rs_t * w) + j) <- pr;
     (* must-edges into j's virtual delivery: j.r follows j.s (hence the
        send's whole past) and the current past of dst, in every
        completion *)
     let vs = ps lor bj lor t.past_s.(dst) in
     let vr = pr lor t.past_r.(dst) in
-    iter_bits t vs (fun k -> m.((sr * w) + k) <- m.((sr * w) + k) lor bj);
+    or_rows m (sr * w) vs bj;
     m.((sr_t * w) + j) <- vs;
-    iter_bits t vr (fun k -> m.((rr * w) + k) <- m.((rr * w) + k) lor bj);
+    or_rows m (rr * w) vr bj;
     m.((rr_t * w) + j) <- vr;
     (* j.s is now in src's past, so it precedes every delivery still
        pending at src *)
     let p = t.pend_to.(src) in
     if p <> 0 then (
       m.((sr * w) + j) <- m.((sr * w) + j) lor p;
-      iter_bits t p (fun y ->
-          m.((sr_t * w) + y) <- m.((sr_t * w) + y) lor bj));
+      or_rows m (sr_t * w) p bj);
     t.past_s.(src) <- ps lor bj;
     t.pend_to.(dst) <- t.pend_to.(dst) lor bj;
     t.live <- t.live lor bj;
     t.events <- t.events + 1
 
   let deliver t ~msg =
-    match Hashtbl.find_opt t.slot_of msg with
-    | None -> invalid_arg "Monitor.deliver: message not sent"
-    | Some j ->
-        if slot_delivered t j then
-          invalid_arg "Monitor.deliver: duplicate delivery";
-        let bj = 1 lsl j in
-        let w = t.window and m = t.masks in
-        let q = t.slot_dst.(j) in
-        (* the real past of j.r: q's past joined with the send's past.
-           The virtual rows written at send time are always a subset, so
-           only the delta needs forward updates. *)
-        let es = t.past_s.(q) lor t.sp_s.(j) lor bj in
-        let er = t.past_r.(q) lor t.sp_r.(j) in
-        iter_bits t
-          (es land lnot m.((sr_t * w) + j))
-          (fun k -> m.((sr * w) + k) <- m.((sr * w) + k) lor bj);
-        m.((sr_t * w) + j) <- es;
-        iter_bits t
-          (er land lnot m.((rr_t * w) + j))
-          (fun k -> m.((rr * w) + k) <- m.((rr * w) + k) lor bj);
-        m.((rr_t * w) + j) <- er;
-        (* q's past grows: the newly absorbed events (and j.r itself)
-           precede every delivery still pending at q *)
-        let ds = es land lnot t.past_s.(q) in
-        let dr = (er lor bj) land lnot t.past_r.(q) in
-        let p = t.pend_to.(q) land lnot bj in
-        if p <> 0 then (
-          iter_bits t ds (fun u ->
-              m.((sr * w) + u) <- m.((sr * w) + u) lor p);
-          iter_bits t dr (fun u ->
-              m.((rr * w) + u) <- m.((rr * w) + u) lor p);
-          iter_bits t p (fun y ->
-              m.((sr_t * w) + y) <- m.((sr_t * w) + y) lor ds;
-              m.((rr_t * w) + y) <- m.((rr_t * w) + y) lor dr));
-        t.past_s.(q) <- es;
-        t.past_r.(q) <- er lor bj;
-        t.pend_to.(q) <- t.pend_to.(q) land lnot bj;
-        t.delivered.(0) <- t.delivered.(0) lor bj;
-        Queue.add j t.retire_q;
-        t.events <- t.events + 1
+    let j = find t msg in
+    if j < 0 then invalid_arg "Monitor.deliver: message not sent";
+    if slot_delivered t j then
+      invalid_arg "Monitor.deliver: duplicate delivery";
+    let bj = 1 lsl j in
+    let w = t.window and m = t.masks in
+    let q = t.slot_dst.(j) in
+    (* the real past of j.r: q's past joined with the send's past. The
+       virtual rows written at send time are always a subset, so only
+       the delta needs forward updates. *)
+    let es = t.past_s.(q) lor t.sp_s.(j) lor bj in
+    let er = t.past_r.(q) lor t.sp_r.(j) in
+    or_rows m (sr * w) (es land lnot m.((sr_t * w) + j)) bj;
+    m.((sr_t * w) + j) <- es;
+    or_rows m (rr * w) (er land lnot m.((rr_t * w) + j)) bj;
+    m.((rr_t * w) + j) <- er;
+    (* q's past grows: the newly absorbed events (and j.r itself)
+       precede every delivery still pending at q *)
+    let ds = es land lnot t.past_s.(q) in
+    let dr = (er lor bj) land lnot t.past_r.(q) in
+    let p = t.pend_to.(q) land lnot bj in
+    if p <> 0 then (
+      or_rows m (sr * w) ds p;
+      or_rows m (rr * w) dr p;
+      or_rows m (sr_t * w) p ds;
+      or_rows m (rr_t * w) p dr);
+    t.past_s.(q) <- es;
+    t.past_r.(q) <- er lor bj;
+    t.pend_to.(q) <- t.pend_to.(q) land lnot bj;
+    t.delivered.(0) <- t.delivered.(0) lor bj;
+    Ring.push t.retire_q j;
+    t.events <- t.events + 1
 
   let frontier_bytes t =
     let word = Sys.word_size / 8 in
@@ -233,10 +252,18 @@ module Packed = struct
       + (6 * t.window) (* slot_id/src/dst/color, sp_s, sp_r *)
       + (3 * t.nprocs) (* past_s, past_r, pend_to *)
       + 1 (* delivered *)
-      + 4 (* live, events, retired, and the queue head *)
+      + 4 (* live, events, retired, and the ring head *)
     in
-    (* hash table and retire queue are bounded by the window *)
+    (* plus 4 words a slot: a fixed allowance that B15 pins, not a count
+       of the record; the slot ring needs only [window] ints of it *)
     word * (ints + (4 * t.window))
+
+  let window t = t.window
+  let live t = t.live
+  let masks t = t.masks
+  let slot_src t = t.slot_src
+  let slot_dst t = t.slot_dst
+  let slot_color t = t.slot_color
 end
 
 module Wide = struct
@@ -259,14 +286,16 @@ module Wide = struct
     past_s : Bitset.t array;
     past_r : Bitset.t array;
     pend_to : Bitset.t array;
-    slot_of : (int, int) Hashtbl.t;
-    retire_q : int Queue.t;
+    retire_q : Ring.t;
     live : Bitset.t;
     mutable events : int;
     mutable retired : int;
     empty : Bitset.t; (* constant, for clearing rows *)
     tmp_a : Bitset.t; (* scratch, valid within one operation *)
     tmp_b : Bitset.t;
+    tmp_c : Bitset.t;
+    tmp_d : Bitset.t;
+    tmp_e : Bitset.t;
   }
 
   let create ~window ~nprocs () =
@@ -285,14 +314,16 @@ module Wide = struct
       past_s = Array.init nprocs (fun _ -> bs ());
       past_r = Array.init nprocs (fun _ -> bs ());
       pend_to = Array.init nprocs (fun _ -> bs ());
-      slot_of = Hashtbl.create (2 * window);
-      retire_q = Queue.create ();
+      retire_q = Ring.create window;
       live = bs ();
       events = 0;
       retired = 0;
       empty = bs ();
       tmp_a = bs ();
       tmp_b = bs ();
+      tmp_c = bs ();
+      tmp_d = bs ();
+      tmp_e = bs ();
     }
 
   let pending t =
@@ -303,11 +334,20 @@ module Wide = struct
     !p
 
   let slot_msg t j =
-    if j < 0 || j >= t.window || t.slot_id.(j) < 0 then
+    if j < 0 || j >= t.window || not (Bitset.mem t.live j) then
       invalid_arg "Monitor.slot_msg: free slot";
     t.slot_id.(j)
 
   let slot_delivered t j = Bitset.mem t.delivered j
+
+  (* the live slot holding [msg], or -1, as the packed scan *)
+  let find t msg =
+    let j = ref (-1) and k = ref 0 in
+    while !j < 0 && !k < t.window do
+      if t.slot_id.(!k) = msg && Bitset.mem t.live !k then j := !k;
+      incr k
+    done;
+    !j
 
   let retire t k =
     for i = 0 to (8 * t.window) - 1 do
@@ -324,8 +364,6 @@ module Wide = struct
       Bitset.remove t.past_s.(p) k;
       Bitset.remove t.past_r.(p) k
     done;
-    Hashtbl.remove t.slot_of t.slot_id.(k);
-    t.slot_id.(k) <- -1;
     Bitset.remove t.delivered k;
     Bitset.remove t.live k;
     t.retired <- t.retired + 1
@@ -338,19 +376,16 @@ module Wide = struct
       done;
       !k)
     else
-      match Queue.take_opt t.retire_q with
-      | Some k ->
-          retire t k;
-          k
-      | None ->
-          invalid_arg "Monitor.send: window exhausted (every slot pending)"
+      let k = Ring.pop t.retire_q in
+      if k < 0 then
+        invalid_arg "Monitor.send: window exhausted (every slot pending)";
+      retire t k;
+      k
 
   let send t ~msg ~src ~dst ~color =
-    if Hashtbl.mem t.slot_of msg then
-      invalid_arg "Monitor.send: duplicate send";
+    if find t msg >= 0 then invalid_arg "Monitor.send: duplicate send";
     let j = alloc t in
     let w = t.window and m = t.rel in
-    Hashtbl.replace t.slot_of msg j;
     t.slot_id.(j) <- msg;
     t.slot_src.(j) <- src;
     t.slot_dst.(j) <- dst;
@@ -383,71 +418,83 @@ module Wide = struct
     t.events <- t.events + 1
 
   let deliver t ~msg =
-    match Hashtbl.find_opt t.slot_of msg with
-    | None -> invalid_arg "Monitor.deliver: message not sent"
-    | Some j ->
-        if slot_delivered t j then
-          invalid_arg "Monitor.deliver: duplicate delivery";
-        let w = t.window and m = t.rel in
-        let q = t.slot_dst.(j) in
-        let es = t.tmp_a in
-        Bitset.copy_into ~dst:es t.past_s.(q);
-        Bitset.union_into ~dst:es t.sp_s.(j);
-        Bitset.add es j;
-        let er = t.tmp_b in
-        Bitset.copy_into ~dst:er t.past_r.(q);
-        Bitset.union_into ~dst:er t.sp_r.(j);
-        (* delta-only forward updates, as the packed path *)
-        let delta = Bitset.copy es in
-        Bitset.diff_into ~dst:delta m.((sr_t * w) + j);
-        Bitset.iter (fun k -> Bitset.add m.((sr * w) + k) j) delta;
-        Bitset.copy_into ~dst:m.((sr_t * w) + j) es;
-        let delta = Bitset.copy er in
-        Bitset.diff_into ~dst:delta m.((rr_t * w) + j);
-        Bitset.iter (fun k -> Bitset.add m.((rr * w) + k) j) delta;
-        Bitset.copy_into ~dst:m.((rr_t * w) + j) er;
-        let ds = Bitset.copy es in
-        Bitset.diff_into ~dst:ds t.past_s.(q);
-        let dr = Bitset.copy er in
-        Bitset.add dr j;
-        Bitset.diff_into ~dst:dr t.past_r.(q);
-        let p = Bitset.copy t.pend_to.(q) in
-        Bitset.remove p j;
-        if not (Bitset.is_empty p) then (
-          Bitset.iter
-            (fun u -> Bitset.union_into ~dst:m.((sr * w) + u) p)
-            ds;
-          Bitset.iter
-            (fun u -> Bitset.union_into ~dst:m.((rr * w) + u) p)
-            dr;
-          Bitset.iter
-            (fun y ->
-              Bitset.union_into ~dst:m.((sr_t * w) + y) ds;
-              Bitset.union_into ~dst:m.((rr_t * w) + y) dr)
-            p);
-        Bitset.copy_into ~dst:t.past_s.(q) es;
-        Bitset.copy_into ~dst:t.past_r.(q) er;
-        Bitset.add t.past_r.(q) j;
-        Bitset.remove t.pend_to.(q) j;
-        Bitset.add t.delivered j;
-        Queue.add j t.retire_q;
-        t.events <- t.events + 1
+    let j = find t msg in
+    if j < 0 then invalid_arg "Monitor.deliver: message not sent";
+    if slot_delivered t j then
+      invalid_arg "Monitor.deliver: duplicate delivery";
+    let w = t.window and m = t.rel in
+    let q = t.slot_dst.(j) in
+    let es = t.tmp_a in
+    Bitset.copy_into ~dst:es t.past_s.(q);
+    Bitset.union_into ~dst:es t.sp_s.(j);
+    Bitset.add es j;
+    let er = t.tmp_b in
+    Bitset.copy_into ~dst:er t.past_r.(q);
+    Bitset.union_into ~dst:er t.sp_r.(j);
+    (* delta-only forward updates, as the packed path; the delta
+       scratch is dead before [ds] reuses it *)
+    let delta = t.tmp_c in
+    Bitset.copy_into ~dst:delta es;
+    Bitset.diff_into ~dst:delta m.((sr_t * w) + j);
+    Bitset.iter (fun k -> Bitset.add m.((sr * w) + k) j) delta;
+    Bitset.copy_into ~dst:m.((sr_t * w) + j) es;
+    Bitset.copy_into ~dst:delta er;
+    Bitset.diff_into ~dst:delta m.((rr_t * w) + j);
+    Bitset.iter (fun k -> Bitset.add m.((rr * w) + k) j) delta;
+    Bitset.copy_into ~dst:m.((rr_t * w) + j) er;
+    let ds = t.tmp_c in
+    Bitset.copy_into ~dst:ds es;
+    Bitset.diff_into ~dst:ds t.past_s.(q);
+    let dr = t.tmp_d in
+    Bitset.copy_into ~dst:dr er;
+    Bitset.add dr j;
+    Bitset.diff_into ~dst:dr t.past_r.(q);
+    let p = t.tmp_e in
+    Bitset.copy_into ~dst:p t.pend_to.(q);
+    Bitset.remove p j;
+    if not (Bitset.is_empty p) then (
+      Bitset.iter (fun u -> Bitset.union_into ~dst:m.((sr * w) + u) p) ds;
+      Bitset.iter (fun u -> Bitset.union_into ~dst:m.((rr * w) + u) p) dr;
+      Bitset.iter
+        (fun y ->
+          Bitset.union_into ~dst:m.((sr_t * w) + y) ds;
+          Bitset.union_into ~dst:m.((rr_t * w) + y) dr)
+        p);
+    Bitset.copy_into ~dst:t.past_s.(q) es;
+    Bitset.copy_into ~dst:t.past_r.(q) er;
+    Bitset.add t.past_r.(q) j;
+    Bitset.remove t.pend_to.(q) j;
+    Bitset.add t.delivered j;
+    Ring.push t.retire_q j;
+    t.events <- t.events + 1
 
   let frontier_bytes t =
     let word = Sys.word_size / 8 in
     (* a Bitset of capacity w is ~ceil(w/8) bytes plus a boxed header *)
     let bs = ((t.window + 7) / 8) + (2 * word) in
+    (* the published figure, which B15 pins: it counts two scratch sets
+       but not [empty] or tmp_c..tmp_e *)
     let sets =
       (8 * t.window) (* rel *) + (2 * t.window) (* sp_s, sp_r *)
       + (3 * t.nprocs) (* past_s, past_r, pend_to *)
-      + 4 (* delivered, live, scratch *)
+      + 4 (* delivered, live, tmp_a, tmp_b *)
     in
     (sets * bs)
     + (word * (4 * t.window)) (* slot arrays *)
-    + (word * (4 * t.window)) (* hash table and retire queue bound *)
+    + (word * (4 * t.window)) (* the packed path's fixed allowance *)
+
+  let window t = t.window
+  let live t = t.live
+  let rel t = t.rel
+  let slot_src t = t.slot_src
+  let slot_dst t = t.slot_dst
+  let slot_color t = t.slot_color
 end
 
-type t = P of Packed.t | W of Wide.t
+type rep = P of Packed.t | W of Wide.t
+type t = rep
+
+let rep t = t
 
 let create ?(window = 32) ?wide ~nprocs () =
   if window < 1 || window > max_wide_window then
@@ -480,22 +527,6 @@ let slot_delivered t j =
   match t with
   | P p -> Packed.slot_delivered p j
   | W w -> Wide.slot_delivered w j
-
-let live = function
-  | P p -> p.Packed.live
-  | W _ -> invalid_arg "Monitor.live: wide window (use wide_live)"
-
-let masks = function
-  | P p -> p.Packed.masks
-  | W _ -> invalid_arg "Monitor.masks: wide window (use wide_rel)"
-
-let wide_rel = function
-  | W w -> w.Wide.rel
-  | P _ -> invalid_arg "Monitor.wide_rel: packed window (use masks)"
-
-let wide_live = function
-  | W w -> w.Wide.live
-  | P _ -> invalid_arg "Monitor.wide_live: packed window (use live)"
 
 let send t ~msg ~src ~dst ?(color = -1) () =
   if src < 0 || src >= nprocs t then invalid_arg "Monitor.send: bad src";

@@ -24,9 +24,13 @@
     State is a fixed {e window} of message slots: per-slot relation
     rows, per-slot causal stamps, and per-process past masks — no
     poset, no event history. Windows up to {!max_window} (62) use
-    packed int rows with no per-event allocation; wider windows (up to
-    {!max_wide_window}) transparently fall back to {!Bitset} rows — the
-    same automaton, update for update, at a constant factor's cost.
+    packed int rows and allocate nothing once created: each row update
+    walks only the set bits of its mask ({!Bitset.lowest_bit}, then
+    [b land (b - 1)]), a message id is found by scanning the live
+    slots' ids, and delivered slots wait for retirement in a ring of
+    [window] ints. Wider windows (up to {!max_wide_window}) transparently
+    fall back to {!Bitset} rows — the same automaton, update for update,
+    at a constant factor's cost, with the same id scan and ring.
     Delivered messages are retired oldest-first when the window fills, so
     resident memory is a constant of [(window, nprocs)], independent of
     stream length. Retirement bounds what the monitor can match:
@@ -83,32 +87,13 @@ val deliver : t -> msg:int -> unit
     Read-only access for predicate evaluation; the arrays are owned by
     the monitor and mutated by {!send}/{!deliver}. Slots are assigned in
     arrival order and recycled, so a slot index is only meaningful
-    between events. A monitor exposes exactly one representation:
-    {!masks}/{!live} when packed, {!wide_rel}/{!wide_live} when wide —
-    dispatch on {!is_wide}. *)
+    between events. A monitor holds exactly one representation, fixed
+    at {!create}: the relation rows and live slots are read through
+    {!rep}, the slot arrays below through either. *)
 
 val is_wide : t -> bool
 (** [true] when the window exceeds {!max_window} and the state lives in
     Bitset rows. *)
-
-val live : t -> int
-(** Bit mask of occupied slots.
-    @raise Invalid_argument on a wide monitor. *)
-
-val masks : t -> int array
-(** The eight must-relation sections over slots, row [x] of relation [k]
-    at index [k * window + x], in the {!Run.Abstract.masks} order
-    [ss sr rs rr ss_t sr_t rs_t rr_t].
-    @raise Invalid_argument on a wide monitor. *)
-
-val wide_live : t -> Bitset.t
-(** Occupied slots of a wide monitor.
-    @raise Invalid_argument on a packed monitor. *)
-
-val wide_rel : t -> Bitset.t array
-(** The eight must-relation sections of a wide monitor as Bitset rows,
-    indexed exactly as {!masks}.
-    @raise Invalid_argument on a packed monitor. *)
 
 val slot_src : t -> int array
 (** Per-slot sending process ([-1] on free slots). *)
@@ -123,7 +108,58 @@ val slot_msg : t -> int -> int
 
 val slot_delivered : t -> int -> bool
 
+(** {2 The relation rows}
+
+    A matcher picks the representation once per event with {!rep} and
+    reads the chosen representation's fields directly. *)
+
+module Packed : sig
+  type t
+
+  val window : t -> int
+
+  val live : t -> int
+  (** Bit mask of occupied slots. *)
+
+  val masks : t -> int array
+  (** The eight must-relation sections over slots, row [x] of relation
+      [k] at index [k * window + x], in the {!Run.Abstract.masks} order
+      [ss sr rs rr ss_t sr_t rs_t rr_t]. *)
+
+  val slot_src : t -> int array
+  val slot_dst : t -> int array
+  val slot_color : t -> int array
+end
+
+module Wide : sig
+  type t
+
+  val window : t -> int
+
+  val live : t -> Bitset.t
+  (** Occupied slots. *)
+
+  val rel : t -> Bitset.t array
+  (** The eight must-relation sections as Bitset rows, indexed exactly
+      as {!Packed.masks}. *)
+
+  val slot_src : t -> int array
+  val slot_dst : t -> int array
+  val slot_color : t -> int array
+end
+
+type rep = P of Packed.t | W of Wide.t
+
+val rep : t -> rep
+(** The monitor's representation, fixed at {!create}: [P] exactly when
+    [not (is_wide t)]. Allocates nothing. *)
+
 val frontier_bytes : t -> int
-(** Resident bytes of the frontier state — the windows, stamps, and
-    per-process masks. A constant of [(window, nprocs)]: feeding more
-    events never grows it (the B15 memory-ceiling bar). *)
+(** The published memory bound of the frontier state, a fixed formula
+    in [(window, nprocs)] that B15 pins and the [monitor] outputs
+    print: the relation rows, slot arrays, stamps and per-process
+    masks, plus an allowance of 4 words a slot. It is not a count of
+    the live record (the slot ring takes 1 word a slot of that
+    allowance, and the wide path's extra scratch sets are left out),
+    but the record is as bounded: feeding more events never grows
+    either (the B15 memory-ceiling bar). *)

@@ -286,8 +286,15 @@ let test_wide_differential () =
     List.map (fun plan -> Eval.Masked.make plan) plans
   in
   let agree pm wm =
-    let pmask = Monitor.masks pm and rel = Monitor.wide_rel wm in
-    let plive = Monitor.live pm and wlive = Monitor.wide_live wm in
+    let pmask, plive =
+      match Monitor.rep pm with
+      | Monitor.P p -> (Monitor.Packed.masks p, Monitor.Packed.live p)
+      | Monitor.W _ -> Alcotest.fail "expected a packed monitor"
+    and rel, wlive =
+      match Monitor.rep wm with
+      | Monitor.W w -> (Monitor.Wide.rel w, Monitor.Wide.live w)
+      | Monitor.P _ -> Alcotest.fail "expected a wide monitor"
+    in
     for j = 0 to w - 1 do
       let pl = plive land (1 lsl j) <> 0 in
       check_bool "live slots agree" pl (Bitset.mem wlive j);
@@ -379,6 +386,149 @@ let test_window_exhaustion () =
   Monitor.send t ~msg:2 ~src:0 ~dst:1 ();
   check_int "one slot recycled" 1 (Monitor.retired t)
 
+(* ---- allocation ------------------------------------------------- *)
+
+(* a clean stream (oldest-first delivery: no FIFO or causal violation)
+   of [2 * nmsgs] events, generated before anything is measured *)
+let clean_events nmsgs =
+  Array.of_list
+    (Stream.key_events
+       { Stream.default_profile with Stream.nmsgs; Stream.disorder = 0. }
+       ~seed:5 ~key:0)
+
+(* minor words that [feed] allocates over the whole of [evs] *)
+let words_fed feed evs =
+  let w0 = Gc.minor_words () in
+  for i = 0 to Array.length evs - 1 do
+    feed evs.(i)
+  done;
+  Gc.minor_words () -. w0
+
+(* once created, a packed frontier allocates nothing per event: 10,000
+   events cost the same minor words as 100 *)
+let test_packed_allocation_free () =
+  let short = clean_events 50 and long = clean_events 5_000 in
+  let nprocs = Stream.default_profile.Stream.nprocs in
+  let monitor evs =
+    let m = Monitor.create ~window:16 ~nprocs () in
+    check_bool "packed" false (Monitor.is_wide m);
+    let w =
+      words_fed
+        (function
+          | Stream.Send { msg; src; dst } -> Monitor.send m ~msg ~src ~dst ()
+          | Stream.Deliver { msg } -> Monitor.deliver m ~msg)
+        evs
+    in
+    check_int "all events consumed" (Array.length evs) (Monitor.events m);
+    w
+  in
+  let pmon evs =
+    let t = Pmon.create ~window:16 ~nprocs plan_b2 in
+    let w =
+      words_fed
+        (function
+          | Stream.Send { msg; src; dst } ->
+              ignore (Pmon.send t ~msg ~src ~dst ())
+          | Stream.Deliver { msg } -> ignore (Pmon.deliver t ~msg))
+        evs
+    in
+    check_bool "clean stream, no verdict" true (Pmon.verdict t = None);
+    w
+  in
+  (* one unmeasured pass first, so one-time set-up is not counted *)
+  ignore (monitor short);
+  ignore (pmon short);
+  Alcotest.(check (float 0.)) "Monitor: words at 10,000 events = at 100"
+    (monitor short) (monitor long);
+  Alcotest.(check (float 0.)) "Pmon: words at 10,000 events = at 100"
+    (pmon short) (pmon long)
+
+(* ---- message ids ------------------------------------------------- *)
+
+let reps = [ ("packed", false); ("wide", true) ]
+
+(* ids are arbitrary ints, the free-slot sentinel and the extremes
+   included, in both representations *)
+let test_extreme_ids () =
+  List.iter
+    (fun (name, wide) ->
+      let ids = [ -1; min_int; max_int ] in
+      let t = Monitor.create ~window:4 ~wide ~nprocs:2 () in
+      List.iter (fun msg -> Monitor.send t ~msg ~src:0 ~dst:1 ()) ids;
+      check_int (name ^ ": all pending") 3 (Monitor.pending t);
+      let held =
+        List.filter_map
+          (fun j ->
+            match Monitor.slot_msg t j with
+            | id -> Some id
+            | exception Invalid_argument _ -> None)
+          [ 0; 1; 2; 3 ]
+      in
+      check_bool (name ^ ": slots hold the ids") true
+        (List.sort compare held = List.sort compare ids);
+      List.iter
+        (fun msg ->
+          Alcotest.check_raises (name ^ ": duplicate send")
+            (Invalid_argument "Monitor.send: duplicate send") (fun () ->
+              Monitor.send t ~msg ~src:1 ~dst:0 ()))
+        ids;
+      List.iter (fun msg -> Monitor.deliver t ~msg) ids;
+      check_int (name ^ ": all delivered") 0 (Monitor.pending t);
+      (* a FIFO overtake whose witness is two extreme ids: the window
+         above max_window gets the wide representation *)
+      let p =
+        Pmon.create ~window:(if wide then 64 else 16) ~nprocs:2 plan_fifo
+      in
+      check_bool (name ^ ": representation") wide
+        (Monitor.is_wide (Pmon.monitor p));
+      ignore (Pmon.send p ~msg:min_int ~src:0 ~dst:1 ());
+      ignore (Pmon.send p ~msg:(-1) ~src:0 ~dst:1 ());
+      match Pmon.deliver p ~msg:(-1) with
+      | Some v ->
+          check_bool (name ^ ": witness") true
+            (Array.to_list v.Pmon.witness = [ min_int; -1 ])
+      | None -> Alcotest.fail (name ^ ": overtake missed"))
+    reps
+
+(* an id stays taken until its slot retires, and the error paths raise
+   as before *)
+let test_id_reuse_and_errors () =
+  List.iter
+    (fun (name, wide) ->
+      let raises what msg f =
+        Alcotest.check_raises (name ^ ": " ^ what) (Invalid_argument msg) f
+      in
+      let t = Monitor.create ~window:2 ~wide ~nprocs:2 () in
+      raises "deliver before any send" "Monitor.deliver: message not sent"
+        (fun () -> Monitor.deliver t ~msg:(-1));
+      Monitor.send t ~msg:0 ~src:0 ~dst:1 ();
+      raises "duplicate send" "Monitor.send: duplicate send" (fun () ->
+          Monitor.send t ~msg:0 ~src:1 ~dst:0 ());
+      raises "unknown delivery" "Monitor.deliver: message not sent"
+        (fun () -> Monitor.deliver t ~msg:7);
+      Monitor.deliver t ~msg:0;
+      raises "duplicate delivery" "Monitor.deliver: duplicate delivery"
+        (fun () -> Monitor.deliver t ~msg:0);
+      raises "re-send while delivered, not retired"
+        "Monitor.send: duplicate send" (fun () ->
+          Monitor.send t ~msg:0 ~src:0 ~dst:1 ());
+      Monitor.send t ~msg:1 ~src:0 ~dst:1 ();
+      Monitor.deliver t ~msg:1;
+      (* the window is full: this send retires 0, the oldest delivery *)
+      Monitor.send t ~msg:2 ~src:0 ~dst:1 ();
+      check_int (name ^ ": 0 retired") 1 (Monitor.retired t);
+      raises "delivery of a retired id" "Monitor.deliver: message not sent"
+        (fun () -> Monitor.deliver t ~msg:0);
+      Monitor.send t ~msg:0 ~src:0 ~dst:1 ();
+      check_int (name ^ ": 1 retired") 2 (Monitor.retired t);
+      Monitor.deliver t ~msg:0;
+      raises "exhausted" "Monitor.send: window exhausted (every slot pending)"
+        (fun () ->
+          Monitor.send t ~msg:3 ~src:0 ~dst:1 ();
+          Monitor.send t ~msg:4 ~src:0 ~dst:1 ());
+      check_int (name ^ ": events") 8 (Monitor.events t))
+    reps
+
 let () =
   Alcotest.run "monitor"
     [
@@ -408,6 +558,18 @@ let () =
             test_wide_differential;
           Alcotest.test_case "window 128 (Bitset fallback)" `Quick
             test_wide_window_128;
+        ] );
+      ( "ids",
+        [
+          Alcotest.test_case "sentinel and extreme ids" `Quick
+            test_extreme_ids;
+          Alcotest.test_case "re-send after retirement, errors" `Quick
+            test_id_reuse_and_errors;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "packed frontier and Pmon, per event" `Quick
+            test_packed_allocation_free;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_earliest_random ] );
