@@ -305,49 +305,74 @@ and candidates p plan ~distinct ~emit i used st cand =
        (if distinct then used lor (1 lsl c) else used))
   || candidates p plan ~distinct ~emit i used st (cand land (cand - 1))
 
-exception Stop
+(* What one wide search reads: the Bitset rows ([n] per section, [n]
+   the capacity of [wlive]), the live messages, the attribute columns
+   and the assignment, plus its scratch — stage [i]'s candidates in
+   [wcands.(i)] and the messages assigned so far in [wused], which is
+   empty between searches. A run query builds one; a monitor matcher
+   keeps one and rebinds it per query. *)
+type wide = {
+  mutable wrel : Bitset.t array;
+  mutable wlive : Bitset.t;
+  mutable wsrcs : int array;
+  mutable wdsts : int array;
+  mutable wcolors : int array;
+  wcands : Bitset.t array;
+  wused : Bitset.t;
+  wassignment : int array;
+}
 
-(* The same staged search over Bitset rows ([n] per section), for runs
-   too large for packed masks and wide monitor windows. Scratch is
-   allocated per call: this path trades the packed loop's
-   allocation-free discipline for width. *)
-let search_wide plan ~distinct ~n ~live ~rel ~srcs ~dsts ~colors assignment
-    emit =
-  let m = Array.length plan in
-  let scratch = Array.init m (fun _ -> Bitset.create n) in
-  let used = Bitset.create n in
-  let rec go i =
-    if i = m then begin
-      if not (emit assignment) then raise_notrace Stop
-    end
-    else begin
-      let st = plan.(i) in
-      let cand = scratch.(i) in
-      Bitset.copy_into ~dst:cand live;
-      if distinct then Bitset.diff_into ~dst:cand used;
-      Array.iteri
-        (fun r w ->
-          Bitset.inter_into ~dst:cand
-            rel.((st.secs.(r) * n) + assignment.(w)))
-        st.bound;
-      Bitset.iter
-        (fun c ->
-          assignment.(st.var) <- c;
-          if
-            Array.for_all (fun k -> Bitset.mem rel.((k * n) + c) c) st.diag
-            && guards_ok ~srcs ~dsts ~colors assignment st.sguards 0
-          then begin
-            if distinct then Bitset.add used c;
-            go (i + 1);
-            if distinct then Bitset.remove used c
+let wide_search ~stages ~n assignment =
+  {
+    wrel = [||];
+    wlive = Bitset.create n;
+    wsrcs = [||];
+    wdsts = [||];
+    wcolors = [||];
+    wcands = Array.init stages (fun _ -> Bitset.create n);
+    wused = Bitset.create n;
+    wassignment = assignment;
+  }
+
+let rec diag_wide w c (diag : int array) j =
+  j = Array.length diag
+  || Bitset.mem w.wrel.((diag.(j) * Bitset.capacity w.wlive) + c) c
+     && diag_wide w c diag (j + 1)
+
+(* The same staged search over Bitset rows, for runs too large for
+   packed masks and wide monitor windows. Candidates are walked in
+   ascending order by {!Bitset.next}, and the scratch is the record's,
+   so a search allocates nothing. *)
+let rec wide_stage w plan ~distinct ~emit i =
+  if i = Array.length plan then not (emit w.wassignment)
+  else begin
+    let st = plan.(i) and n = Bitset.capacity w.wlive in
+    let cand = w.wcands.(i) in
+    Bitset.copy_into ~dst:cand w.wlive;
+    if distinct then Bitset.diff_into ~dst:cand w.wused;
+    for r = 0 to Array.length st.bound - 1 do
+      Bitset.inter_into ~dst:cand
+        w.wrel.((st.secs.(r) * n) + w.wassignment.(st.bound.(r)))
+    done;
+    wide_candidates w plan ~distinct ~emit i st (Bitset.next cand 0)
+  end
+
+and wide_candidates w plan ~distinct ~emit i st c =
+  c < Bitset.capacity w.wlive
+  && begin
+       w.wassignment.(st.var) <- c;
+       (diag_wide w c st.diag 0
+       && guards_ok ~srcs:w.wsrcs ~dsts:w.wdsts ~colors:w.wcolors
+            w.wassignment st.sguards 0
+       && begin
+            if distinct then Bitset.add w.wused c;
+            let stopped = wide_stage w plan ~distinct ~emit (i + 1) in
+            if distinct then Bitset.remove w.wused c;
+            stopped
           end)
-        cand
-    end
-  in
-  try
-    go 0;
-    false
-  with Stop -> true
+       || wide_candidates w plan ~distinct ~emit i st
+            (Bitset.next w.wcands.(i) (c + 1))
+     end
 
 let stop _ = false
 
@@ -376,10 +401,13 @@ let run_plan plan ~distinct run emit =
           Array.concat
             [ r.ss; r.sr; r.rs; r.rr; r.ss_t; r.sr_t; r.rs_t; r.rr_t ]
         in
-        let live = Bitset.create n in
-        Bitset.set_all live;
-        search_wide plan ~distinct ~n ~live ~rel ~srcs:t.srcs ~dsts:t.dsts
-          ~colors:t.colors assignment emit
+        let w = wide_search ~stages:m ~n assignment in
+        Bitset.set_all w.wlive;
+        w.wrel <- rel;
+        w.wsrcs <- t.srcs;
+        w.wdsts <- t.dsts;
+        w.wcolors <- t.colors;
+        wide_stage w plan ~distinct ~emit 0
 
 let search_compiled ?(distinct = true) ?(limit = max_int) c run =
   let results = ref [] in
@@ -421,7 +449,12 @@ let satisfies ?distinct p run = satisfies_c ?distinct (compile p) run
 (* ------------------------------------------------------------------ *)
 
 module Masked = struct
-  type matcher = { c : compiled; distinct : bool; p : packed }
+  type matcher = {
+    c : compiled;
+    distinct : bool;
+    p : packed;
+    mutable w : wide option; (* built at the first wide match *)
+  }
 
   let make ?(distinct = true) c =
     {
@@ -437,6 +470,7 @@ module Masked = struct
           colors = [||];
           assignment = Array.make (max c.m 1) (-1);
         };
+      w = None;
     }
 
   (* the monitor's frontier ({!Mo_order.Monitor}) is matched in place,
@@ -458,15 +492,28 @@ module Masked = struct
       Some (Array.copy u.p.assignment)
     else None
 
-  let find_wide u ~n ~live ~rel ~src ~dst ~color =
-    let res = ref None in
-    ignore
-      (search_wide u.c.fast ~distinct:u.distinct ~n ~live ~rel ~srcs:src
-         ~dsts:dst ~colors:color u.p.assignment (fun a ->
-           res := Some (Array.copy a);
-           false));
-    !res
-
+  (* the wide twin: its scratch is built again only when the window
+     changes *)
   let holds_wide u ~n ~live ~rel ~src ~dst ~color =
-    Option.is_some (find_wide u ~n ~live ~rel ~src ~dst ~color)
+    let w =
+      match u.w with
+      | Some w when Bitset.capacity w.wlive = n -> w
+      | _ ->
+          let w =
+            wide_search ~stages:(Array.length u.c.fast) ~n u.p.assignment
+          in
+          u.w <- Some w;
+          w
+    in
+    w.wrel <- rel;
+    w.wlive <- live;
+    w.wsrcs <- src;
+    w.wdsts <- dst;
+    w.wcolors <- color;
+    wide_stage w u.c.fast ~distinct:u.distinct ~emit:stop 0
+
+  let find_wide u ~n ~live ~rel ~src ~dst ~color =
+    if holds_wide u ~n ~live ~rel ~src ~dst ~color then
+      Some (Array.copy u.p.assignment)
+    else None
 end

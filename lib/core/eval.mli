@@ -128,8 +128,9 @@ module Masked : sig
     bool
   (** {!holds} over the Bitset rows of a {e wide} monitor
       ({!Mo_order.Monitor.Wide.rel}): same plan, same candidate
-      filtering, set operations instead of word ops. Allocates scratch
-      per call. *)
+      filtering, set operations instead of word ops. The matcher keeps
+      the search's scratch, built at its first wide query and again
+      only when [n] changes, so a query allocates nothing. *)
 
   val find_wide :
     matcher ->

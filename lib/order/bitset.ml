@@ -107,12 +107,30 @@ let[@inline] lowest_bit w =
   if b land 0xFFFF_FFFF <> 0 then debruijn_index b
   else 32 + debruijn_index (b lsr 32)
 
+let next t i =
+  if i < 0 then invalid_arg "Bitset.next: negative index";
+  let nbytes = Bytes.length t.words in
+  let b = ref (i lsr 3) in
+  (* the first byte keeps only the bits at or above [i] *)
+  let v =
+    ref
+      (if !b < nbytes then
+         Char.code (Bytes.unsafe_get t.words !b) land (0xff lsl (i land 7))
+       else 0)
+  in
+  while !v = 0 && !b < nbytes - 1 do
+    incr b;
+    v := Char.code (Bytes.unsafe_get t.words !b)
+  done;
+  if !v = 0 then t.cap else (!b lsl 3) + lowest_bit !v
+
+(* no bit beyond the capacity is ever set *)
+let is_empty t = next t 0 = t.cap
+
 let cardinal t =
   let n = ref 0 in
   Bytes.iter (fun c -> n := !n + popcount_byte c) t.words;
   !n
-
-let is_empty t = Bytes.for_all (fun c -> c = '\000') t.words
 
 let equal a b = a.cap = b.cap && Bytes.equal a.words b.words
 

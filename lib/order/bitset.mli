@@ -39,6 +39,14 @@ val lowest_bit : int -> int
     non-zero int word [w] — the step for walking a packed int row's
     members in ascending order. *)
 
+val next : t -> int -> int
+(** [next t i] is the least member of [t] at or after [i], or
+    [capacity t] when there is none: the first-order scan, [let k = ref
+    (next t 0) in while !k < capacity t do ...; k := next t (!k + 1)
+    done], that walks the members in ascending order and allocates
+    nothing. [i] may exceed the capacity.
+    @raise Invalid_argument if [i] is negative. *)
+
 val cardinal : t -> int
 
 val is_empty : t -> bool

@@ -368,19 +368,36 @@ module Wide = struct
     Bitset.remove t.live k;
     t.retired <- t.retired + 1
 
+  (* the least free slot, else the oldest delivered one, retired *)
   let alloc t =
-    if Bitset.cardinal t.live < t.window then (
-      let k = ref 0 in
-      while Bitset.mem t.live !k do
-        incr k
-      done;
-      !k)
+    let free = ref 0 in
+    while !free < t.window && Bitset.mem t.live !free do
+      incr free
+    done;
+    if !free < t.window then !free
     else
       let k = Ring.pop t.retire_q in
       if k < 0 then
         invalid_arg "Monitor.send: window exhausted (every slot pending)";
       retire t k;
       k
+
+  (* the row updates, as first-order scans of a set's members: row
+     [base + k] gains column [j], or the set [src], for each member [k]
+     of [s] *)
+  let add_to_rows m base s j =
+    let k = ref (Bitset.next s 0) in
+    while !k < Bitset.capacity s do
+      Bitset.add m.(base + !k) j;
+      k := Bitset.next s (!k + 1)
+    done
+
+  let union_into_rows m base s src =
+    let k = ref (Bitset.next s 0) in
+    while !k < Bitset.capacity s do
+      Bitset.union_into ~dst:m.(base + !k) src;
+      k := Bitset.next s (!k + 1)
+    done
 
   let send t ~msg ~src ~dst ~color =
     if find t msg >= 0 then invalid_arg "Monitor.send: duplicate send";
@@ -393,9 +410,9 @@ module Wide = struct
     let ps = t.past_s.(src) and pr = t.past_r.(src) in
     Bitset.copy_into ~dst:t.sp_s.(j) ps;
     Bitset.copy_into ~dst:t.sp_r.(j) pr;
-    Bitset.iter (fun k -> Bitset.add m.((ss * w) + k) j) ps;
+    add_to_rows m (ss * w) ps j;
     Bitset.copy_into ~dst:m.((ss_t * w) + j) ps;
-    Bitset.iter (fun k -> Bitset.add m.((rs * w) + k) j) pr;
+    add_to_rows m (rs * w) pr j;
     Bitset.copy_into ~dst:m.((rs_t * w) + j) pr;
     let vs = t.tmp_a in
     Bitset.copy_into ~dst:vs ps;
@@ -404,14 +421,14 @@ module Wide = struct
     let vr = t.tmp_b in
     Bitset.copy_into ~dst:vr pr;
     Bitset.union_into ~dst:vr t.past_r.(dst);
-    Bitset.iter (fun k -> Bitset.add m.((sr * w) + k) j) vs;
+    add_to_rows m (sr * w) vs j;
     Bitset.copy_into ~dst:m.((sr_t * w) + j) vs;
-    Bitset.iter (fun k -> Bitset.add m.((rr * w) + k) j) vr;
+    add_to_rows m (rr * w) vr j;
     Bitset.copy_into ~dst:m.((rr_t * w) + j) vr;
     let p = t.pend_to.(src) in
     if not (Bitset.is_empty p) then (
       Bitset.union_into ~dst:m.((sr * w) + j) p;
-      Bitset.iter (fun y -> Bitset.add m.((sr_t * w) + y) j) p);
+      add_to_rows m (sr_t * w) p j);
     Bitset.add t.past_s.(src) j;
     Bitset.add t.pend_to.(dst) j;
     Bitset.add t.live j;
@@ -436,11 +453,11 @@ module Wide = struct
     let delta = t.tmp_c in
     Bitset.copy_into ~dst:delta es;
     Bitset.diff_into ~dst:delta m.((sr_t * w) + j);
-    Bitset.iter (fun k -> Bitset.add m.((sr * w) + k) j) delta;
+    add_to_rows m (sr * w) delta j;
     Bitset.copy_into ~dst:m.((sr_t * w) + j) es;
     Bitset.copy_into ~dst:delta er;
     Bitset.diff_into ~dst:delta m.((rr_t * w) + j);
-    Bitset.iter (fun k -> Bitset.add m.((rr * w) + k) j) delta;
+    add_to_rows m (rr * w) delta j;
     Bitset.copy_into ~dst:m.((rr_t * w) + j) er;
     let ds = t.tmp_c in
     Bitset.copy_into ~dst:ds es;
@@ -453,13 +470,10 @@ module Wide = struct
     Bitset.copy_into ~dst:p t.pend_to.(q);
     Bitset.remove p j;
     if not (Bitset.is_empty p) then (
-      Bitset.iter (fun u -> Bitset.union_into ~dst:m.((sr * w) + u) p) ds;
-      Bitset.iter (fun u -> Bitset.union_into ~dst:m.((rr * w) + u) p) dr;
-      Bitset.iter
-        (fun y ->
-          Bitset.union_into ~dst:m.((sr_t * w) + y) ds;
-          Bitset.union_into ~dst:m.((rr_t * w) + y) dr)
-        p);
+      union_into_rows m (sr * w) ds p;
+      union_into_rows m (rr * w) dr p;
+      union_into_rows m (sr_t * w) p ds;
+      union_into_rows m (rr_t * w) p dr);
     Bitset.copy_into ~dst:t.past_s.(q) es;
     Bitset.copy_into ~dst:t.past_r.(q) er;
     Bitset.add t.past_r.(q) j;

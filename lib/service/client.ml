@@ -138,7 +138,11 @@ let call_pipelined t ?deadline_ms reqs =
   in
   (* all requests go out in one write; responses come back in request
      order (the server's pipelining contract) *)
-  match Codec.write_frames t.fd (List.map Codec.request_to_json envs) with
+  let w = Codec.writer () in
+  List.iter
+    (fun env -> Codec.add_reply w (Codec.Json (Codec.request_to_json env)))
+    envs;
+  match Codec.flush t.fd w with
   | exception Unix.Unix_error (e, _, _) ->
       let err = Error ("transport: " ^ Unix.error_message e) in
       List.map (fun _ -> err) envs

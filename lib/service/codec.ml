@@ -412,21 +412,46 @@ let put b pos s =
   Bytes.blit_string s 0 b pos (String.length s);
   pos + String.length s
 
+(* the JSON text of [reply] at [pos] *)
+let blit_reply b pos = function
+  | Json j -> J.blit b pos j
+  | Payload (id, text) ->
+      let pos = J.blit_int b (put b pos ok_head) id in
+      let pos = put b (put b pos ok_mid) text in
+      Bytes.set b pos '}';
+      pos + 1
+
 (* the frame of [reply], whose payload is [n] bytes, at [pos] *)
 let blit_frame b pos reply n =
   let pos = J.blit_int b pos n in
   Bytes.set b pos '\n';
-  let pos =
-    match reply with
-    | Json j -> J.blit b (pos + 1) j
-    | Payload (id, text) ->
-        let pos = J.blit_int b (put b (pos + 1) ok_head) id in
-        let pos = put b (put b pos ok_mid) text in
-        Bytes.set b pos '}';
-        pos + 1
-  in
+  let pos = blit_reply b (pos + 1) reply in
   Bytes.set b pos '\n';
   pos + 1
+
+(* [{"responses":[], the members' texts between commas, and []}]: the
+   bytes of the batch result tree around replies already printed *)
+let responses_head = "{\"responses\":["
+
+let batch_result replies =
+  let n =
+    List.fold_left
+      (fun acc r -> acc + payload_size r)
+      (String.length responses_head + max 0 (List.length replies - 1) + 2)
+      replies
+  in
+  let b = Bytes.create n in
+  let pos = ref (put b 0 responses_head) in
+  List.iteri
+    (fun i r ->
+      if i > 0 then begin
+        Bytes.set b !pos ',';
+        incr pos
+      end;
+      pos := blit_reply b !pos r)
+    replies;
+  ignore (put b !pos "]}");
+  Bytes.unsafe_to_string b
 
 let json_of_reply = function
   | Json j -> j
@@ -441,7 +466,8 @@ let writer_of_size n = { out = Bytes.create n; len = 0 }
 
 let writer () = writer_of_size 4096
 
-let add_sized w reply n =
+let add_reply w reply =
+  let n = payload_size reply in
   let need = w.len + frame_size n in
   if need > Bytes.length w.out then begin
     let nb = Bytes.create (max need (2 * Bytes.length w.out)) in
@@ -449,8 +475,6 @@ let add_sized w reply n =
     w.out <- nb
   end;
   w.len <- blit_frame w.out w.len reply n
-
-let add_reply w reply = add_sized w reply (payload_size reply)
 
 let flush fd w =
   let written = ref 0 in
@@ -466,18 +490,10 @@ let encode_frame json =
   ignore (blit_frame b 0 reply n);
   Bytes.unsafe_to_string b
 
-let write_frames fd jsons =
-  (* one exact-size run, one syscall batch for a whole pipeline's worth
-     of frames *)
-  let sized = List.map (fun j -> (Json j, J.compact_size j)) jsons in
-  let w =
-    writer_of_size
-      (List.fold_left (fun acc (_, n) -> acc + frame_size n) 0 sized)
-  in
-  List.iter (fun (r, n) -> add_sized w r n) sized;
+let write_frame fd json =
+  let w = writer_of_size 0 in
+  add_reply w (Json json);
   flush fd w
-
-let write_frame fd json = write_frames fd [ json ]
 
 (* The reader buffers whatever the descriptor delivers and parses frames
    out of the buffer, so several pipelined frames arriving in one read

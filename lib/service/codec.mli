@@ -143,11 +143,12 @@ val default_max_frame : int
 
 (** {2 Replies and the frame writer}
 
-    A reply is either a JSON tree ([Json]: errors, [stats], batches) or
-    an [ok] response around a payload already printed ([Payload (id,
-    text)]: every computed result, and every cache hit). Both go out
-    through one frame writer, which prints straight into bytes it has
-    sized first: no frame is rendered to a scratch buffer and copied.
+    A reply is either a JSON tree ([Json]: errors, [stats] and
+    [shutdown]) or an [ok] response around a result already printed
+    ([Payload (id, text)]: every computed result, every cache hit and
+    every batch). Both go out through one frame writer, which prints
+    straight into bytes it has sized first: no frame is rendered to a
+    scratch buffer and copied.
 
     The splice contract: the frame of [Payload (id, text)] is
     [<len>\n{"id":<id>,"ok":true,"result":<text>}\n] with
@@ -159,9 +160,18 @@ val default_max_frame : int
 
 type reply = Json of Mo_obs.Jsonb.t | Payload of int * string
 
+val batch_result : reply list -> string
+(** [{"responses":[<r1>,<r2>,...]}], each member printed as the JSON
+    text of its reply (the body of its frame): the result text of a
+    batch, spliced from its members' replies. It equals
+    [Jsonb.to_string (Obj [("responses", List (List.map json_of_reply
+    replies))])] whenever each member's text re-prints as itself. *)
+
 val json_of_reply : reply -> Mo_obs.Jsonb.t
 (** The reply as a tree; a [Payload]'s text is parsed back, which is
     exact for every payload without floats (no cached payload has one).
+    The view of [Engine.serve_json_many] and of the tests; mopcd's own
+    reply path never calls it.
     @raise Invalid_argument if a [Payload]'s text is not JSON. *)
 
 type writer
@@ -173,7 +183,8 @@ val writer : unit -> writer
     least the size a group needs. *)
 
 val add_reply : writer -> reply -> unit
-(** Append the reply's frame. *)
+(** Append the reply's frame; a client appends its request trees as
+    [Json]. *)
 
 val flush : Unix.file_descr -> writer -> unit
 (** Write every pending frame (retrying partial writes), then empty the
@@ -183,12 +194,8 @@ val encode_frame : Mo_obs.Jsonb.t -> string
 (** One frame, printed into a string of exactly its length. *)
 
 val write_frame : Unix.file_descr -> Mo_obs.Jsonb.t -> unit
-(** Write a whole frame; retries partial writes. *)
-
-val write_frames : Unix.file_descr -> Mo_obs.Jsonb.t list -> unit
-(** Write several frames as one contiguous byte run of exactly their
-    size (one syscall batch in the common case) — how the client sends
-    a pipelined group. *)
+(** Write a whole frame; retries partial writes. Several frames go out
+    in one write through a {!writer}. *)
 
 type reader
 (** Growable buffered frame reader over a file descriptor. Bytes are

@@ -26,7 +26,9 @@ let create ?(cache_capacity = 4096) ?(stripes = 8) ?registry ?pool ?clock
     pool;
     clock;
     c_requests =
-      Metrics.counter reg ~help:"requests admitted" "svc.requests";
+      Metrics.counter reg
+        ~help:"parsed requests: every top-level request and batch member"
+        "svc.requests";
     c_errors =
       Metrics.counter reg ~help:"requests answered with an error"
         "svc.errors";
@@ -66,18 +68,10 @@ let cache_stats t =
              (Array.map stripe (Cache.stripe_stats t.cache))) );
     ]
 
-(* the cache holds each payload's compact text; the tree API reads it
-   back, exactly, since no cached payload has a float *)
-let parse_payload text =
-  match J.of_string text with
-  | Ok payload -> payload
-  | Error e -> invalid_arg ("Engine: cached payload is not JSON: " ^ e)
+(* the cache holds each payload's text, so a snapshot is the cache's *)
+let snapshot t = Cache.snapshot t.cache
 
-let snapshot t =
-  List.map (fun (k, text) -> (k, parse_payload text)) (Cache.snapshot t.cache)
-
-let restore t entries =
-  Cache.restore t.cache (List.map (fun (k, v) -> (k, J.to_string v)) entries)
+let restore t entries = Cache.restore t.cache entries
 
 let stripe_stats t = Cache.stripe_stats t.cache
 
@@ -151,32 +145,6 @@ type admitted =
   | Stop of Codec.reply (* shutdown admitted: reply, then stop the server *)
   | Miss of int * string option * (unit -> J.t)
     (* id, cache key (None = uncached compute), pure compute *)
-
-let admit t ~received ~in_batch (env : Codec.envelope) =
-  Metrics.inc t.c_requests;
-  match check_deadline t ~received env with
-  | Some reply -> Done reply
-  | None -> (
-      let id = env.Codec.id in
-      match env.Codec.req with
-      | Codec.Stats ->
-          Done (Codec.Json (Codec.ok_response ~id (stats_payload t)))
-      | Codec.Shutdown ->
-          if in_batch then
-            Done (error t ~id "shutdown is not allowed inside a batch")
-          else
-            Stop
-              (Codec.Json
-                 (Codec.ok_response ~id (J.Obj [ ("shutdown", J.Bool true) ])))
-      | Codec.Batch _ -> Done (error t ~id "batches do not nest")
-      | req -> (
-          match computable req with
-          | None -> Done (error t ~id "unsupported request")
-          | Some ((Some key as k), compute) -> (
-              match Cache.find t.cache key with
-              | Some text -> Done (Codec.Payload (id, text))
-              | None -> Miss (id, k, compute))
-          | Some (None, compute) -> Miss (id, None, compute)))
 
 (* guard a pure compute so a bad predicate or trace can never kill the
    server; Bad_request carries a message meant for the client. The
@@ -259,106 +227,70 @@ let resolve t admitted =
       admitted
   end
 
-let handle_batch t ~received envs =
-  Metrics.inc t.c_batches;
-  let admitted =
-    Array.of_list (List.map (admit t ~received ~in_batch:true) envs)
-  in
-  Array.to_list (resolve t admitted)
+(* admission: count the request, check its deadline, then answer it,
+   look it up in the cache, or defer its compute to [resolve] *)
+let rec admit t ~received ~in_batch (env : Codec.envelope) =
+  Metrics.inc t.c_requests;
+  match check_deadline t ~received env with
+  | Some reply -> Done reply
+  | None -> (
+      let id = env.Codec.id in
+      match env.Codec.req with
+      | Codec.Stats ->
+          Done (Codec.Json (Codec.ok_response ~id (stats_payload t)))
+      | Codec.Shutdown ->
+          if in_batch then
+            Done (error t ~id "shutdown is not allowed inside a batch")
+          else
+            Stop
+              (Codec.Json
+                 (Codec.ok_response ~id (J.Obj [ ("shutdown", J.Bool true) ])))
+      | Codec.Batch _ when in_batch ->
+          Done (error t ~id "batches do not nest")
+      | Codec.Batch envs ->
+          (* the members are admitted and resolved here, in the caller's
+             admission pass; the result splices their reply texts *)
+          Metrics.inc t.c_batches;
+          let members =
+            Array.of_list (List.map (admit t ~received ~in_batch:true) envs)
+          in
+          Done
+            (Codec.Payload
+               (id, Codec.batch_result (Array.to_list (resolve t members))))
+      | req -> (
+          match computable req with
+          | None -> Done (error t ~id "unsupported request")
+          | Some ((Some key as k), compute) -> (
+              match Cache.find t.cache key with
+              | Some text -> Done (Codec.Payload (id, text))
+              | None -> Miss (id, k, compute))
+          | Some (None, compute) -> Miss (id, None, compute)))
+
+let is_stop = function Stop _ -> true | Done _ | Miss _ -> false
 
 let serve_reply t ?received (env : Codec.envelope) =
-  let received =
-    match received with Some r -> r | None -> t.clock ()
-  in
-  match env.Codec.req with
-  | Codec.Batch envs -> (
-      match check_deadline t ~received env with
-      | Some reply -> (reply, false)
-      | None ->
-          Metrics.inc t.c_requests;
-          let replies = handle_batch t ~received envs in
-          ( Codec.Json
-              (Codec.ok_response ~id:env.Codec.id
-                 (J.Obj
-                    [
-                      ( "responses",
-                        J.List (List.map Codec.json_of_reply replies) );
-                    ])),
-            false ))
-  | _ -> (
-      match admit t ~received ~in_batch:false env with
-      | Done reply -> (reply, false)
-      | Stop reply -> (reply, true)
-      | Miss (id, key, compute) ->
-          (finish_miss t ~id ~key (run_compute compute), false))
-
-let serve t ?received env =
-  let reply, stop = serve_reply t ?received env in
-  (Codec.json_of_reply reply, stop)
-
-let handle t ?received env = fst (serve t ?received env)
-
-let serve_json t ?received json =
-  match Codec.request_of_json json with
-  | Ok env -> serve t ?received env
-  | Error (id, msg) -> (Codec.json_of_reply (error t ~id msg), false)
-
-let handle_json t ?received json = fst (serve_json t ?received json)
-
-(* ---- pipelined groups -------------------------------------------- *)
-
-(* A pipelined slot: either admitted into the shared resolve pass, or
-   answered whole at its position (batches run their own resolve; parse
-   errors have their reply already). *)
-type slot = Simple of admitted | Whole of Codec.reply * bool
-
-let slot_of_env t ~received (env : Codec.envelope) =
-  match env.Codec.req with
-  | Codec.Batch _ ->
-      let reply, stop = serve_reply t ~received env in
-      Whole (reply, stop)
-  | _ -> Simple (admit t ~received ~in_batch:false env)
-
-let serve_slots t slots =
-  let simple =
-    Array.of_list
-      (List.filter_map
-         (function Simple a -> Some a | Whole _ -> None)
-         slots)
-  in
-  let resolved = resolve t simple in
-  let k = ref 0 in
-  let stop = ref false in
-  let replies =
-    List.map
-      (function
-        | Whole (reply, s) ->
-            if s then stop := true;
-            reply
-        | Simple a ->
-            let reply = resolved.(!k) in
-            incr k;
-            (match a with Stop _ -> stop := true | Done _ | Miss _ -> ());
-            reply)
-      slots
-  in
-  (replies, !stop)
-
-let trees (replies, stop) = (List.map Codec.json_of_reply replies, stop)
-
-let serve_many t ?received envs =
   let received = match received with Some r -> r | None -> t.clock () in
-  trees (serve_slots t (List.map (slot_of_env t ~received) envs))
+  match admit t ~received ~in_batch:false env with
+  | Done reply -> (reply, false)
+  | Stop reply -> (reply, true)
+  | Miss (id, key, compute) ->
+      (finish_miss t ~id ~key (run_compute compute), false)
 
+(* a pipelined group: every member admitted in order, then one resolve
+   pass; a frame that does not parse is answered in its slot *)
 let serve_replies t ?received jsons =
   let received = match received with Some r -> r | None -> t.clock () in
-  serve_slots t
-    (List.map
-       (fun json ->
-         match Codec.request_of_json json with
-         | Ok env -> slot_of_env t ~received env
-         | Error (id, msg) -> Whole (error t ~id msg, false))
-       jsons)
+  let admitted =
+    Array.of_list
+      (List.map
+         (fun json ->
+           match Codec.request_of_json json with
+           | Ok env -> admit t ~received ~in_batch:false env
+           | Error (id, msg) -> Done (error t ~id msg))
+         jsons)
+  in
+  (Array.to_list (resolve t admitted), Array.exists is_stop admitted)
 
 let serve_json_many t ?received jsons =
-  trees (serve_replies t ?received jsons)
+  let replies, stop = serve_replies t ?received jsons in
+  (List.map Codec.json_of_reply replies, stop)

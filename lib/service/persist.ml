@@ -4,15 +4,6 @@ module J = Mo_obs.Jsonb
    files can hold answers computed under the old silent cycle cap *)
 let version = 2
 
-let to_json entries =
-  J.Obj
-    [
-      ("version", J.Int version);
-      ( "entries",
-        J.List
-          (List.map (fun (k, v) -> J.List [ J.String k; v ]) entries) );
-    ]
-
 let entries_of_json = function
   | J.Obj fields -> (
       match List.assoc_opt "version" fields with
@@ -22,7 +13,7 @@ let entries_of_json = function
               let rec go acc = function
                 | [] -> Ok (List.rev acc)
                 | J.List [ J.String k; payload ] :: rest ->
-                    go ((k, payload) :: acc) rest
+                    go ((k, J.to_string payload) :: acc) rest
                 | _ -> Error "malformed snapshot entry (want [key, payload])"
               in
               go [] items
@@ -38,8 +29,20 @@ let save ~path entries =
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
   (try
-     output_string oc (J.to_string (to_json entries));
-     output_char oc '\n';
+     (* the bytes of the tree {"version":2,"entries":[[key,payload],...]}
+        with each payload's text spliced in as it is *)
+     output_string oc "{\"version\":";
+     output_string oc (string_of_int version);
+     output_string oc ",\"entries\":[";
+     List.iteri
+       (fun i (k, text) ->
+         output_string oc (if i = 0 then "[" else ",[");
+         output_string oc (J.to_string (J.String k));
+         output_char oc ',';
+         output_string oc text;
+         output_char oc ']')
+       entries;
+     output_string oc "]}\n";
      flush oc;
      Unix.fsync (Unix.descr_of_out_channel oc);
      close_out oc
@@ -62,7 +65,4 @@ let load ~path =
     | contents -> (
         match J.of_string contents with
         | Error e -> Error ("bad snapshot JSON: " ^ e)
-        | Ok json -> (
-            match entries_of_json json with
-            | Ok entries -> Ok (Some entries)
-            | Error e -> Error e))
+        | Ok json -> Result.map Option.some (entries_of_json json))

@@ -21,13 +21,16 @@ val version : int
     that stopped silently at 100,000 cycles, so some hold wrong
     verdicts. *)
 
-val save : path:string -> (string * Mo_obs.Jsonb.t) list -> unit
-(** Atomically replace the snapshot at [path]. Raises [Sys_error] /
-    [Unix.Unix_error] on I/O failure; the previous snapshot (if any)
-    is untouched in that case. *)
+val save : path:string -> (string * string) list -> unit
+(** Atomically replace the snapshot at [path] with [(key, payload
+    text)] entries, each text a compact JSON document spliced in as it
+    is, so the file holds the bytes [Jsonb.to_string] prints for the
+    same table. Raises [Sys_error] / [Unix.Unix_error] on I/O failure;
+    the previous snapshot (if any) is untouched in that case. *)
 
-val load :
-  path:string -> ((string * Mo_obs.Jsonb.t) list option, string) result
+val load : path:string -> ((string * string) list option, string) result
 (** [Ok None] when [path] does not exist (a cold start, not an error);
     [Error _] on unreadable, unparsable, or wrong-version snapshots —
-    the daemon reports these and starts cold rather than dying. *)
+    the daemon reports these and starts cold rather than dying. The
+    whole file is parsed and validated before any entry is returned;
+    each payload is then printed back to its compact text. *)

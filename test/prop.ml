@@ -68,3 +68,6 @@ let pair g1 g2 rng =
   (a, b)
 
 let map f g rng = f (g rng)
+
+(* a list of [0 .. max] draws of [g] *)
+let list_of ~max g rng = List.init (int_range 0 max rng) (fun _ -> g rng)

@@ -107,6 +107,34 @@ let test_lowest_bit () =
   done;
   Alcotest.(check int) "all bits" 0 (Mo_order.Bitset.lowest_bit (-1))
 
+(* [next] from every start index, past the capacity included, against
+   the members list, over capacities that do and do not fill a byte *)
+let test_next () =
+  let rng = Random.State.make [| 17 |] in
+  List.iter
+    (fun cap ->
+      for _ = 1 to 20 do
+        let xs =
+          List.filter
+            (fun _ -> Random.State.int rng 5 = 0)
+            (List.init cap Fun.id)
+        in
+        let s = Bitset.of_list cap xs in
+        for i = 0 to cap + 9 do
+          let want =
+            match List.find_opt (fun x -> x >= i) xs with
+            | Some x -> x
+            | None -> cap
+          in
+          check_int (Printf.sprintf "cap %d next %d" cap i) want
+            (Bitset.next s i)
+        done
+      done)
+    [ 0; 1; 7; 8; 9; 64; 130 ];
+  Alcotest.check_raises "negative"
+    (Invalid_argument "Bitset.next: negative index") (fun () ->
+      ignore (Bitset.next (Bitset.create 8) (-1)))
+
 let () =
   Alcotest.run "bitset"
     [
@@ -120,6 +148,7 @@ let () =
           Alcotest.test_case "subset/equal" `Quick test_subset_equal;
           Alcotest.test_case "iter/fold" `Quick test_iter_fold;
           Alcotest.test_case "lowest_bit" `Quick test_lowest_bit;
+          Alcotest.test_case "next" `Quick test_next;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -443,6 +443,50 @@ let test_packed_allocation_free () =
   Alcotest.(check (float 0.)) "Pmon: words at 10,000 events = at 100"
     (pmon short) (pmon long)
 
+(* the wide (Bitset) frontier and its matcher allocate nothing per
+   event either: a forced-wide monitor and a window-128 Pmon *)
+let test_wide_allocation_free () =
+  let short = clean_events 50 and long = clean_events 5_000 in
+  let nprocs = Stream.default_profile.Stream.nprocs in
+  let monitor evs =
+    let m = Monitor.create ~window:16 ~wide:true ~nprocs () in
+    check_bool "wide" true (Monitor.is_wide m);
+    let w =
+      words_fed
+        (function
+          | Stream.Send { msg; src; dst } -> Monitor.send m ~msg ~src ~dst ()
+          | Stream.Deliver { msg } -> Monitor.deliver m ~msg)
+        evs
+    in
+    check_int "all events consumed" (Array.length evs) (Monitor.events m);
+    w
+  in
+  let pmon evs =
+    let t = Pmon.create ~window:128 ~nprocs plan_b2 in
+    check_bool "window 128 is wide" true (Monitor.is_wide (Pmon.monitor t));
+    (* the matcher builds its scratch at the first wide query *)
+    ignore (Pmon.send t ~msg:(-1) ~src:0 ~dst:1 ());
+    ignore (Pmon.deliver t ~msg:(-1));
+    let w =
+      words_fed
+        (function
+          | Stream.Send { msg; src; dst } ->
+              ignore (Pmon.send t ~msg ~src ~dst ())
+          | Stream.Deliver { msg } -> ignore (Pmon.deliver t ~msg))
+        evs
+    in
+    check_bool "clean stream, no verdict" true (Pmon.verdict t = None);
+    w
+  in
+  ignore (monitor short);
+  ignore (pmon short);
+  Alcotest.(check (float 0.))
+    "wide Monitor: words at 10,000 events = at 100" (monitor short)
+    (monitor long);
+  Alcotest.(check (float 0.))
+    "window-128 Pmon: words at 10,000 events = at 100" (pmon short)
+    (pmon long)
+
 (* ---- message ids ------------------------------------------------- *)
 
 let reps = [ ("packed", false); ("wide", true) ]
@@ -570,6 +614,8 @@ let () =
         [
           Alcotest.test_case "packed frontier and Pmon, per event" `Quick
             test_packed_allocation_free;
+          Alcotest.test_case "wide frontier and Pmon, per event" `Quick
+            test_wide_allocation_free;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_earliest_random ] );

@@ -404,9 +404,9 @@ let test_persist_roundtrip () =
   let path = Filename.temp_file "mo-persist" ".json" in
   let entries =
     [
-      ("c:abc", J.Obj [ ("verdict", J.String "implementable") ]);
-      ("w:def", J.Null);
-      ("i:a:b", J.List [ J.Int 1; J.Bool true ]);
+      ("c:abc", {|{"verdict":"implementable"}|});
+      ("w:def", "null");
+      ("i:a:b", "[1,true]");
     ]
   in
   Persist.save ~path entries;
@@ -416,14 +416,14 @@ let test_persist_roundtrip () =
       List.iter2
         (fun (k1, v1) (k2, v2) ->
           check_string "key" k1 k2;
-          check_string "payload" (J.to_string v1) (J.to_string v2))
+          check_string "payload" v1 v2)
         entries got
   | Ok None -> Alcotest.fail "snapshot reported missing"
   | Error e -> Alcotest.fail e);
   (* saving over an existing snapshot replaces it atomically *)
-  Persist.save ~path [ ("only", J.Int 7) ];
+  Persist.save ~path [ ("only", "7") ];
   (match Persist.load ~path with
-  | Ok (Some [ ("only", J.Int 7) ]) -> ()
+  | Ok (Some [ ("only", "7") ]) -> ()
   | _ -> Alcotest.fail "second save did not replace the snapshot");
   Sys.remove path;
   check_bool "missing file is a cold start, not an error" true
@@ -458,6 +458,23 @@ let ok_result resp =
   | Ok payload -> payload
   | Error e -> Alcotest.fail ("error response: " ^ e)
 
+(* the engine's replies as the trees a client reads off the wire *)
+let handle t ?received env =
+  Codec.json_of_reply (fst (Engine.serve_reply t ?received env))
+
+let serve_group t jsons =
+  let replies, stop = Engine.serve_replies t jsons in
+  (List.map Codec.json_of_reply replies, stop)
+
+let serve_json t json =
+  match serve_group t [ json ] with
+  | [ resp ], stop -> (resp, stop)
+  | _ -> Alcotest.fail "one request, not one response"
+
+let handle_json t json = fst (serve_json t json)
+
+let serve_many t envs = serve_group t (List.map Codec.request_to_json envs)
+
 let field name = function
   | J.Obj fields -> List.assoc name fields
   | _ -> Alcotest.fail "payload is not an object"
@@ -465,13 +482,13 @@ let field name = function
 let test_engine_cache_keying () =
   let t = Engine.create ~cache_capacity:16 () in
   let r1 =
-    ok_result (Engine.handle t (envelope (Codec.Classify (pred causal))))
+    ok_result (handle t (envelope (Codec.Classify (pred causal))))
   in
   (* an alpha-renaming of the same predicate must hit the same entry
      and produce the byte-identical payload *)
   let r2 =
     ok_result
-      (Engine.handle t
+      (handle t
          (envelope ~id:2 (Codec.Classify (pred "a.s < b.s & b.r < a.r"))))
   in
   check_string "alpha-equivalent payloads" (J.to_string r1) (J.to_string r2);
@@ -490,7 +507,7 @@ let test_engine_cache_keying () =
 let test_engine_malformed () =
   let t = Engine.create () in
   let reject name json =
-    match Engine.handle_json t json with
+    match handle_json t json with
     | J.Obj fields ->
         check_bool (name ^ ": ok=false") true
           (List.assoc "ok" fields = J.Bool false)
@@ -515,7 +532,7 @@ let test_engine_deadline () =
   (* a deadline in the future is admitted... *)
   (match
      Codec.result_of_response
-       (Engine.handle t (envelope ~deadline_ms:50 req))
+       (handle t (envelope ~deadline_ms:50 req))
    with
   | Ok _ -> ()
   | Error e -> Alcotest.fail ("live deadline rejected: " ^ e));
@@ -527,7 +544,7 @@ let test_engine_deadline () =
     Codec.Batch
       [ envelope ~id:7 ~deadline_ms:50 req; envelope ~id:8 req ]
   in
-  match ok_result (Engine.handle t ~received:0. (envelope ~id:9 batch)) with
+  match ok_result (handle t ~received:0. (envelope ~id:9 batch)) with
   | payload -> (
       match field "responses" payload with
       | J.List [ first; second ] ->
@@ -569,7 +586,7 @@ let run_batch ~jobs =
      must not leak wall time into the byte-identity check *)
   let t = Engine.create ~pool ~clock:(fun () -> 0.) () in
   let resp =
-    Engine.handle t (envelope ~id:99 (Codec.Batch (batch_workload ())))
+    handle t (envelope ~id:99 (Codec.Batch (batch_workload ())))
   in
   (J.to_string resp, Engine.cache_stats t)
 
@@ -593,12 +610,12 @@ let test_pipelined_group () =
   in
   let sequential =
     let t = Engine.create () in
-    List.map (fun j -> fst (Engine.serve_json t j)) jsons
+    List.map (fun j -> fst (serve_json t j)) jsons
   in
   List.iter
     (fun jobs ->
       let t = Engine.create ~pool:(Mo_par.Pool.create ~jobs ()) () in
-      let resps, stop = Engine.serve_json_many t jsons in
+      let resps, stop = serve_group t jsons in
       check_bool "no shutdown in the group" false stop;
       check_int "one response per request" (List.length jsons)
         (List.length resps);
@@ -619,7 +636,7 @@ let test_pipelined_group () =
       envelope ~id:3 (Codec.Classify (pred fifo));
     ]
   in
-  let resps, stop = Engine.serve_many t group in
+  let resps, stop = serve_many t group in
   check_bool "shutdown mid-group stops the server" true stop;
   check_int "everything answered" 3 (List.length resps);
   List.iteri
@@ -633,19 +650,19 @@ let test_pipelined_group () =
    byte-identical payload and no recompute *)
 let test_engine_warm_restart () =
   let t1 = Engine.create () in
-  ignore (Engine.handle t1 (envelope (Codec.Classify (pred causal))));
-  ignore (Engine.handle t1 (envelope ~id:2 (Codec.Witness (pred fifo))));
+  ignore (handle t1 (envelope (Codec.Classify (pred causal))));
+  ignore (handle t1 (envelope ~id:2 (Codec.Witness (pred fifo))));
   let snap = Engine.snapshot t1 in
   check_int "snapshot covers both decisions" 2 (List.length snap);
   let t2 = Engine.create () in
   check_int "restored" 2 (Engine.restore t2 snap);
   let r1 =
     ok_result
-      (Engine.handle t1 (envelope ~id:3 (Codec.Classify (pred causal))))
+      (handle t1 (envelope ~id:3 (Codec.Classify (pred causal))))
   in
   let r2 =
     ok_result
-      (Engine.handle t2 (envelope ~id:3 (Codec.Classify (pred causal))))
+      (handle t2 (envelope ~id:3 (Codec.Classify (pred causal))))
   in
   check_string "warm payload byte-identical" (J.to_string r1)
     (J.to_string r2);
@@ -656,7 +673,7 @@ let test_engine_warm_restart () =
     (Option.value ~default:(-1)
        (Mo_obs.Metrics.value (Engine.registry t2) "svc.cache_misses"));
   (* the stats payload says how warm this instance started *)
-  let stats = ok_result (Engine.handle t2 (envelope ~id:4 Codec.Stats)) in
+  let stats = ok_result (handle t2 (envelope ~id:4 Codec.Stats)) in
   match field "cache" stats with
   | J.Obj fields ->
       check_bool "stats reports loaded entries" true
@@ -667,7 +684,7 @@ let test_shutdown_semantics () =
   let t = Engine.create () in
   (* a top-level shutdown is acknowledged and raises the stop flag *)
   let resp, stop =
-    Engine.serve_json t
+    serve_json t
       (Codec.request_to_json (envelope ~id:5 Codec.Shutdown))
   in
   check_bool "top-level shutdown stops the server" true stop;
@@ -675,7 +692,7 @@ let test_shutdown_semantics () =
     (field "shutdown" (ok_result resp) = J.Bool true);
   (* nested in a batch it is an error and must NOT stop the server *)
   let resp, stop =
-    Engine.serve_json t
+    serve_json t
       (Codec.request_to_json
          (envelope ~id:6 (Codec.Batch [ envelope ~id:7 Codec.Shutdown ])))
   in
@@ -688,7 +705,7 @@ let test_shutdown_semantics () =
   | _ -> Alcotest.fail "batch did not return one response");
   (* ordinary requests report no shutdown *)
   let _, stop =
-    Engine.serve_json t
+    serve_json t
       (Codec.request_to_json (envelope ~id:8 Codec.Stats))
   in
   check_bool "stats does not stop the server" false stop
@@ -697,7 +714,7 @@ let test_payload_shapes () =
   let t = Engine.create () in
   let imp =
     ok_result
-      (Engine.handle t
+      (handle t
          (envelope (Codec.Implies (pred fifo, pred causal))))
   in
   (* B_fifo adds a guard to B_causal's cycle, so B_fifo ⟹ B_causal
@@ -706,18 +723,18 @@ let test_payload_shapes () =
     (field "forward" imp = J.Bool true);
   check_bool "converse fails" true (field "backward" imp = J.Bool false);
   let wit =
-    ok_result (Engine.handle t (envelope ~id:2 (Codec.Witness (pred causal))))
+    ok_result (handle t (envelope ~id:2 (Codec.Witness (pred causal))))
   in
   check_bool "causal has a witness" true (field "witness" wit = J.Bool true);
   let min_ =
     ok_result
-      (Engine.handle t
+      (handle t
          (envelope ~id:3 (Codec.Minimize [ pred fifo; pred causal ])))
   in
   (match field "kept" min_ with
   | J.List kept -> check_bool "minimize kept >= 1" true (List.length kept >= 1)
   | _ -> Alcotest.fail "kept is not a list");
-  let stats = ok_result (Engine.handle t (envelope ~id:4 Codec.Stats)) in
+  let stats = ok_result (handle t (envelope ~id:4 Codec.Stats)) in
   match field "cache" stats with
   | J.Obj fields -> check_bool "cache stats" true (List.mem_assoc "hits" fields)
   | _ -> Alcotest.fail "stats payload lacks a cache object"
@@ -729,7 +746,7 @@ let test_monitor_op () =
     else "send 0 0 1\nsend 1 0 1\ndeliver 1\ndeliver 0\n"
   in
   let monitor ?id text =
-    Engine.handle t (envelope ?id (Codec.Monitor (pred fifo, text, None)))
+    handle t (envelope ?id (Codec.Monitor (pred fifo, text, None)))
   in
   let clean = ok_result (monitor (trace true)) in
   check_bool "clean trace: no violation" true
@@ -765,7 +782,7 @@ let test_monitor_op () =
 let test_lattice_op () =
   let t = Engine.create ~cache_capacity:16 () in
   let q ?id ?kmax p =
-    Engine.handle t (envelope ?id (Codec.Lattice (pred p, kmax)))
+    handle t (envelope ?id (Codec.Lattice (pred p, kmax)))
   in
   let payload = ok_result (q fifo) in
   check_bool "payload carries the default kmax" true
@@ -858,7 +875,7 @@ let test_lattice_op () =
 let test_lattice_kmax_bound () =
   let t = Engine.create ~cache_capacity:16 () in
   let cache_size () =
-    let stats = ok_result (Engine.handle t (envelope Codec.Stats)) in
+    let stats = ok_result (handle t (envelope Codec.Stats)) in
     match field "cache" stats with
     | J.Obj fs -> List.assoc "size" fs
     | _ -> Alcotest.fail "cache stats shape"
@@ -867,7 +884,7 @@ let test_lattice_kmax_bound () =
     (fun kmax ->
       (match
          Codec.result_of_response
-           (Engine.handle t
+           (handle t
               (envelope ~id:2 (Codec.Lattice (pred fifo, Some kmax))))
        with
       | Error _ -> ()
@@ -886,9 +903,226 @@ let test_lattice_kmax_bound () =
   check_bool "the bound itself is served" true
     (field "kmax"
        (ok_result
-          (Engine.handle t
+          (handle t
              (envelope (Codec.Lattice (pred fifo, Some Codec.max_kmax)))))
     = J.Int Codec.max_kmax)
+
+(* ---- one reply path: batches and snapshots spliced from text ---- *)
+
+let reply_ids = [ 0; -1; max_int; min_int ]
+
+let catalog_preds =
+  lazy
+    (Array.of_list
+       (List.map (fun (e : Mo_core.Catalog.entry) -> e.pred)
+          Mo_core.Catalog.all))
+
+(* a frozen clock: cache entry ages are part of the stats payload, and
+   no deadline ever lapses *)
+let frozen_engine () = Engine.create ~clock:(fun () -> 0.) ()
+
+let fifo_overtake = "send 0 0 1\nsend 1 0 1\ndeliver 1\ndeliver 0\n"
+
+(* one batch member of each kind: cacheable ops (hits or misses,
+   depending on what the engine has seen), an uncached monitor, errors
+   (a malformed trace, a kmax out of range), stats, a nested batch and a
+   nested shutdown; every id extreme, and deadlines that never lapse *)
+let gen_member rng =
+  let preds = Lazy.force catalog_preds in
+  let p () = preds.(Random.State.int rng (Array.length preds)) in
+  let req =
+    match Prop.int_range 0 10 rng with
+    | 0 -> Codec.Classify (p ())
+    | 1 -> Codec.Witness (p ())
+    | 2 -> Codec.Implies (p (), p ())
+    | 3 -> Codec.Minimize [ p (); p () ]
+    (* one lattice key, so each engine places it once *)
+    | 4 -> Codec.Lattice (pred fifo, None)
+    | 5 -> Codec.Monitor (pred fifo, fifo_overtake, None)
+    | 6 -> Codec.Monitor (pred fifo, "deliver 7\n", None)
+    | 7 -> Codec.Lattice (pred fifo, Some 0)
+    | 8 -> Codec.Stats
+    | 9 -> Codec.Batch [ envelope ~id:5 Codec.Stats ]
+    | _ -> Codec.Shutdown
+  in
+  {
+    Codec.id = Prop.oneof (Random.State.bits rng :: reply_ids) rng;
+    deadline_ms = Prop.oneof [ None; Some 0; Some 1_000 ] rng;
+    req;
+  }
+
+(* a member's tree, from [twin] (an engine serving it on its own, where
+   a hit and a miss give the same bytes), from the nesting rules, or —
+   for stats, which counts this very batch — as the batch answered it *)
+let expected_member twin (env : Codec.envelope) answered =
+  match env.Codec.req with
+  | Codec.Stats -> answered
+  | Codec.Batch _ ->
+      Codec.error_response ~id:env.Codec.id "batches do not nest"
+  | Codec.Shutdown ->
+      Codec.error_response ~id:env.Codec.id
+        "shutdown is not allowed inside a batch"
+  | _ -> handle twin env
+
+(* the spliced batch frame equals the frame of the tree a client builds
+   from the members' replies *)
+let batch_bytes_ok t twin ~id members =
+  let reply, stop =
+    Engine.serve_reply t (envelope ~id (Codec.Batch members))
+  in
+  let answered =
+    match field "responses" (ok_result (Codec.json_of_reply reply)) with
+    | J.List l -> l
+    | _ -> Alcotest.fail "responses is not a list"
+  in
+  let want =
+    Codec.ok_response ~id
+      (J.Obj
+         [
+           ( "responses",
+             J.List (List.map2 (expected_member twin) members answered) );
+         ])
+  in
+  (not stop)
+  && (match reply with Codec.Payload _ -> true | Codec.Json _ -> false)
+  && flushed (Codec.writer ()) [ reply ] = Codec.encode_frame want
+
+let test_batch_bytes () =
+  let t = frozen_engine () and twin = frozen_engine () in
+  ignore (handle t (envelope (Codec.Classify (pred causal))));
+  let members =
+    [
+      envelope ~id:0 (Codec.Classify (pred "a.s < b.s & b.r < a.r"));
+      envelope ~id:(-1) (Codec.Classify (pred fifo));
+      envelope ~id:max_int (Codec.Witness (pred causal));
+      envelope ~id:min_int (Codec.Witness (pred causal));
+      envelope ~id:4 (Codec.Implies (pred fifo, pred causal));
+      envelope ~id:5 (Codec.Minimize [ pred fifo; pred causal ]);
+      envelope ~id:6 (Codec.Lattice (pred causal, Some 1));
+      envelope ~id:7 (Codec.Monitor (pred fifo, fifo_overtake, None));
+      envelope ~id:8 (Codec.Monitor (pred fifo, "deliver 7\n", None));
+      envelope ~id:9 (Codec.Lattice (pred fifo, Some 0));
+      envelope ~id:10 Codec.Stats;
+      envelope ~id:11 (Codec.Batch [ envelope Codec.Stats ]);
+      envelope ~id:12 Codec.Shutdown;
+    ]
+  in
+  List.iter
+    (fun id ->
+      check_bool (Printf.sprintf "batch %d" id) true
+        (batch_bytes_ok t twin ~id members);
+      check_bool (Printf.sprintf "empty batch %d" id) true
+        (batch_bytes_ok t twin ~id []))
+    reply_ids;
+  (* the renamed classify hits in the first batch; the seven cacheable
+     successes of each later batch all hit *)
+  check_int "hits" (1 + (3 * 7))
+    (Option.value ~default:(-1)
+       (Mo_obs.Metrics.value (Engine.registry t) "svc.cache_hits"))
+
+let test_batch_bytes_property () =
+  let t = frozen_engine () and twin = frozen_engine () in
+  Prop.check ~count:80 ~seed:3001 ~name:"batch splice = tree emit"
+    (Prop.pair
+       (fun rng -> Prop.oneof (Random.State.bits rng :: reply_ids) rng)
+       (Prop.list_of ~max:8 gen_member))
+    ~pp:(fun (id, members) ->
+      J.to_string
+        (Codec.request_to_json (envelope ~id (Codec.Batch members))))
+    (fun (id, members) -> batch_bytes_ok t twin ~id members)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* a --persist file is the text splice of the table; it equals the tree
+   printer's file, and load then save reproduces it byte for byte *)
+let test_snapshot_bytes () =
+  let t = Engine.create () in
+  let preds = Lazy.force catalog_preds in
+  let rng = Random.State.make [| 3101 |] in
+  let p () = preds.(Random.State.int rng (Array.length preds)) in
+  List.iteri
+    (fun id req -> ignore (handle t (envelope ~id req)))
+    (List.concat
+       (List.init 4 (fun _ ->
+            [
+              Codec.Classify (p ());
+              Codec.Witness (p ());
+              Codec.Implies (p (), p ());
+              Codec.Minimize [ p (); p (); p () ];
+            ]))
+    @ [ Codec.Lattice (p (), Some 1); Codec.Lattice (p (), None) ]);
+  let snap = Engine.snapshot t in
+  List.iter
+    (fun prefix ->
+      check_bool ("resident " ^ prefix) true
+        (List.exists (fun (k, _) -> String.starts_with ~prefix k) snap))
+    [ "c:"; "w:"; "i:"; "m:"; "l:" ];
+  let path = Filename.temp_file "mo-snap" ".json"
+  and again = Filename.temp_file "mo-snap" ".json" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ path; again ])
+    (fun () ->
+      Persist.save ~path snap;
+      let file = read_file path in
+      let parse text =
+        match J.of_string text with
+        | Ok j -> j
+        | Error e -> Alcotest.fail e
+      in
+      let tree =
+        J.Obj
+          [
+            ("version", J.Int Persist.version);
+            ( "entries",
+              J.List
+                (List.map (fun (k, text) -> J.List [ J.String k; parse text ])
+                   snap) );
+          ]
+      in
+      check_string "spliced file = tree-printed file"
+        (J.to_string tree ^ "\n") file;
+      match Persist.load ~path with
+      | Ok (Some entries) ->
+          check_bool "load gives the table back" true (entries = snap);
+          Persist.save ~path:again entries;
+          check_string "save (load file) = file" file (read_file again);
+          let t2 = Engine.create () in
+          check_int "restored" (List.length snap) (Engine.restore t2 entries);
+          check_bool "a restored engine snapshots the same table" true
+            (Engine.snapshot t2 = snap)
+      | Ok None -> Alcotest.fail "snapshot reported missing"
+      | Error e -> Alcotest.fail e)
+
+(* svc.requests counts every top-level request and every batch member,
+   an expired one as much as an admitted one *)
+let test_request_count () =
+  let now = ref 10. in
+  let t = Engine.create ~clock:(fun () -> !now) () in
+  let value name =
+    Option.value ~default:(-1)
+      (Mo_obs.Metrics.value (Engine.registry t) name)
+  in
+  let added serve =
+    let r0 = value "svc.requests" and d0 = value "svc.deadline_expired" in
+    ignore (serve ());
+    (value "svc.requests" - r0, value "svc.deadline_expired" - d0)
+  in
+  let check_added = Alcotest.(check (pair int int)) in
+  let req = Codec.Classify (pred causal) in
+  let expired r = envelope ~id:7 ~deadline_ms:50 r in
+  let batch =
+    Codec.Batch [ envelope req; envelope Codec.Stats; envelope req ]
+  in
+  check_added "expired single" (1, 1)
+    (added (fun () -> Engine.serve_reply t ~received:0. (expired req)));
+  check_added "expired batch" (1, 1)
+    (added (fun () -> Engine.serve_reply t ~received:0. (expired batch)));
+  check_added "expired batch in a group" (1, 1)
+    (added (fun () ->
+         Engine.serve_replies t ~received:0.
+           [ Codec.request_to_json (expired batch) ]));
+  check_added "batch of three" (4, 0)
+    (added (fun () -> Engine.serve_reply t (envelope batch)))
 
 (* ---- the service edge: connect retry and crash-tolerant startup ---- *)
 
@@ -1212,11 +1446,14 @@ let test_daemon_int_overflow () =
            | Ok None -> Alcotest.fail "daemon closed the connection"
            | Error e -> Alcotest.fail e
          in
-         Codec.write_frames fd
+         let w = Codec.writer () in
+         List.iter
+           (fun j -> Codec.add_reply w (Codec.Json j))
            [
              classify 1 "x.s < y.r & color(x) = 99999999999999999999";
              classify 2 causal;
            ];
+         Codec.flush fd w;
          (match reply () with
          | Error e ->
              check_string "overflow error"
@@ -1694,6 +1931,11 @@ let () =
             test_lattice_kmax_bound;
           Alcotest.test_case "pipelined groups" `Quick test_pipelined_group;
           Alcotest.test_case "warm restart" `Quick test_engine_warm_restart;
+          Alcotest.test_case "batch bytes" `Quick test_batch_bytes;
+          Alcotest.test_case "batch bytes property" `Quick
+            test_batch_bytes_property;
+          Alcotest.test_case "snapshot bytes" `Quick test_snapshot_bytes;
+          Alcotest.test_case "request count" `Quick test_request_count;
         ] );
       ( "edge",
         [
