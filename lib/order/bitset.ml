@@ -129,7 +129,9 @@ let is_empty t = next t 0 = t.cap
 
 let cardinal t =
   let n = ref 0 in
-  Bytes.iter (fun c -> n := !n + popcount_byte c) t.words;
+  for i = 0 to Bytes.length t.words - 1 do
+    n := !n + popcount_byte (Bytes.unsafe_get t.words i)
+  done;
   !n
 
 let equal a b = a.cap = b.cap && Bytes.equal a.words b.words

@@ -41,292 +41,35 @@ let of_string s =
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* Membership fast paths (masks when <= 62 messages, Bitsets beyond)  *)
+(* Membership: every point is one of the three Limits kernels         *)
 (* ------------------------------------------------------------------ *)
 
-(* Message-digraph rows over the forward sections: always ss/rs/rr,
-   plus sr for the full message graph ([with_sr]). Self-bit dropped —
-   sr.(x) contains x via the implicit x.s ▷ x.r edge. *)
-let mg_rows_masks mk n ~with_sr =
-  Array.init n (fun x ->
-      let row = mk.(x) lor mk.((2 * n) + x) lor mk.((3 * n) + x) in
-      let row = if with_sr then row lor mk.(n + x) else row in
-      row land lnot (1 lsl x))
-
-let mg_rows_bitsets rel n ~with_sr =
-  Array.init n (fun x ->
-      let row = Bitset.copy rel.Run.Abstract.ss.(x) in
-      if with_sr then Bitset.union_into ~dst:row rel.Run.Abstract.sr.(x);
-      Bitset.union_into ~dst:row rel.Run.Abstract.rs.(x);
-      Bitset.union_into ~dst:row rel.Run.Abstract.rr.(x);
-      Bitset.remove row x;
-      row)
-
-let acyclic_int_rows succ n =
-  let indeg = Array.make n 0 in
-  Array.iter
-    (fun row ->
-      for y = 0 to n - 1 do
-        if row land (1 lsl y) <> 0 then indeg.(y) <- indeg.(y) + 1
-      done)
-    succ;
-  let queue = Queue.create () in
-  for x = 0 to n - 1 do
-    if indeg.(x) = 0 then Queue.add x queue
-  done;
-  let numbered = ref 0 in
-  while not (Queue.is_empty queue) do
-    let x = Queue.pop queue in
-    incr numbered;
-    let row = succ.(x) in
-    for y = 0 to n - 1 do
-      if row land (1 lsl y) <> 0 then begin
-        indeg.(y) <- indeg.(y) - 1;
-        if indeg.(y) = 0 then Queue.add y queue
-      end
-    done
-  done;
-  !numbered = n
-
-let acyclic_bitset_rows succ n =
-  let indeg = Array.make n 0 in
-  Array.iter
-    (fun row -> Bitset.iter (fun y -> indeg.(y) <- indeg.(y) + 1) row)
-    succ;
-  let queue = Queue.create () in
-  for x = 0 to n - 1 do
-    if indeg.(x) = 0 then Queue.add x queue
-  done;
-  let numbered = ref 0 in
-  while not (Queue.is_empty queue) do
-    let x = Queue.pop queue in
-    incr numbered;
-    Bitset.iter
-      (fun y ->
-        indeg.(y) <- indeg.(y) - 1;
-        if indeg.(y) = 0 then Queue.add y queue)
-      succ.(x)
-  done;
-  !numbered = n
-
-let is_fifo_nn r =
-  let n = Run.Abstract.nmsgs r in
-  if n <= 1 then true
-  else
-    match Run.Abstract.masks r with
-    | Some mk -> acyclic_int_rows (mg_rows_masks mk n ~with_sr:false) n
-    | None ->
-        acyclic_bitset_rows
-          (mg_rows_bitsets (Run.Abstract.relations r) n ~with_sr:false)
-          n
-
-(* Largest strongly connected component of the message graph, by
-   Warshall closure over bit rows (n <= 62 on the mask path, and the
-   universes are tiny anyway): x and y share a component iff each
-   reaches the other. *)
-let max_scc r =
-  let n = Run.Abstract.nmsgs r in
-  if n <= 1 then n
-  else
-    match Run.Abstract.masks r with
-    | Some mk ->
-        let reach = mg_rows_masks mk n ~with_sr:true in
-        for k = 0 to n - 1 do
-          for x = 0 to n - 1 do
-            if reach.(x) land (1 lsl k) <> 0 then
-              reach.(x) <- reach.(x) lor reach.(k)
-          done
-        done;
-        let best = ref 1 in
-        for x = 0 to n - 1 do
-          let scc = ref 1 in
-          for y = 0 to n - 1 do
-            if
-              y <> x
-              && reach.(x) land (1 lsl y) <> 0
-              && reach.(y) land (1 lsl x) <> 0
-            then incr scc
-          done;
-          if !scc > !best then best := !scc
-        done;
-        !best
-    | None ->
-        let rel = Run.Abstract.relations r in
-        let reach = mg_rows_bitsets rel n ~with_sr:true in
-        for k = 0 to n - 1 do
-          for x = 0 to n - 1 do
-            if Bitset.mem reach.(x) k then
-              Bitset.union_into ~dst:reach.(x) reach.(k)
-          done
-        done;
-        let best = ref 1 in
-        for x = 0 to n - 1 do
-          let scc = ref 1 in
-          for y = 0 to n - 1 do
-            if y <> x && Bitset.mem reach.(x) y && Bitset.mem reach.(y) x then
-              incr scc
-          done;
-          if !scc > !best then best := !scc
-        done;
-        !best
-
-(* The FIFO family: no overtaking pair (x.s ▷ y.s ∧ y.r ▷ x.r) whose
-   attributes match the scope. Unknown attributes satisfy no guard. *)
-type scope = By_src | By_dst | By_pair
-
-let scope_same r scope x y =
-  let ax = Run.Abstract.attrs r x and ay = Run.Abstract.attrs r y in
-  let same a b = match (a, b) with Some a, Some b -> a = b | _ -> false in
-  match scope with
-  | By_src -> same ax.Run.src ay.Run.src
-  | By_dst -> same ax.Run.dst ay.Run.dst
-  | By_pair -> same ax.Run.src ay.Run.src && same ax.Run.dst ay.Run.dst
-
-let is_fifo scope r =
-  let n = Run.Abstract.nmsgs r in
-  if n <= 1 then true
-  else begin
-    let ok = ref true in
-    (match Run.Abstract.masks r with
-    | Some mk -> (
-        (* overtaking candidates for x: ss.(x) ∩ rr_t.(x) ∖ {x}, as the
-           causal fast path, then filtered by the attribute guard *)
-        try
-          for x = 0 to n - 1 do
-            let c = mk.(x) land mk.((7 * n) + x) land lnot (1 lsl x) in
-            if c <> 0 then
-              for y = 0 to n - 1 do
-                if c land (1 lsl y) <> 0 && scope_same r scope x y then begin
-                  ok := false;
-                  raise Exit
-                end
-              done
-          done
-        with Exit -> ())
-    | None -> (
-        let rel = Run.Abstract.relations r in
-        let scratch = Bitset.create n in
-        try
-          for x = 0 to n - 1 do
-            Bitset.copy_into ~dst:scratch rel.Run.Abstract.ss.(x);
-            Bitset.inter_into ~dst:scratch rel.Run.Abstract.rr_t.(x);
-            Bitset.remove scratch x;
-            Bitset.iter
-              (fun y ->
-                if scope_same r scope x y then begin
-                  ok := false;
-                  raise Exit
-                end)
-              scratch
-          done
-        with Exit -> ()));
-    !ok
-  end
+let max_scc = Limits.max_scc
 
 let is_member m r =
   match norm m with
   | Rsc -> Limits.is_sync r
-  | Ksync k -> max_scc r <= k
-  | Fifo_nn -> is_fifo_nn r
+  | Ksync k -> Limits.max_scc r <= k
+  | Fifo_nn -> Limits.(acyclic One_queue r)
   | Causal -> Limits.is_causal r
-  | Fifo_1n -> is_fifo By_src r
-  | Fifo_n1 -> is_fifo By_dst r
-  | Fifo_11 -> is_fifo By_pair r
+  | Fifo_1n -> Limits.(no_overtake Same_src r)
+  | Fifo_n1 -> Limits.(no_overtake Same_dst r)
+  | Fifo_11 -> Limits.(no_overtake Same_channel r)
   | Async -> true
 
-(* ------------------------------------------------------------------ *)
-(* Witness-producing references (lt / message_graph, no masks)        *)
-(* ------------------------------------------------------------------ *)
-
-(* Kahn over successor lists with cycle extraction, as
-   Limits.check_sync. *)
-let acyclic_or_cycle succ n ~what =
-  let indeg = Array.make n 0 in
-  Array.iter (List.iter (fun y -> indeg.(y) <- indeg.(y) + 1)) succ;
-  let queue = Queue.create () in
-  for x = 0 to n - 1 do
-    if indeg.(x) = 0 then Queue.add x queue
-  done;
-  let numbering = Array.make n (-1) in
-  let next = ref 0 in
-  while not (Queue.is_empty queue) do
-    let x = Queue.pop queue in
-    numbering.(x) <- !next;
-    incr next;
-    List.iter
-      (fun y ->
-        indeg.(y) <- indeg.(y) - 1;
-        if indeg.(y) = 0 then Queue.add y queue)
-      succ.(x)
-  done;
-  if !next = n then Ok ()
-  else begin
-    let in_cycle x = numbering.(x) < 0 in
-    let start =
-      let rec find x = if in_cycle x then x else find (x + 1) in
-      find 0
-    in
-    let visited = Array.make n (-1) in
-    let rec walk x step path =
-      if visited.(x) >= 0 then
-        let rec take acc = function
-          | [] -> acc
-          | y :: rest -> if y = x then y :: acc else take (y :: acc) rest
-        in
-        take [] path
-      else begin
-        visited.(x) <- step;
-        match List.find_opt in_cycle succ.(x) with
-        | Some y -> walk y (step + 1) (x :: path)
-        | None -> List.rev (x :: path)
-      end
-    in
-    let cycle = walk start 0 [] in
-    Error
-      {
-        cycle;
-        reason =
-          Printf.sprintf "%s graph has a cycle of length %d" what
-            (List.length cycle);
-      }
-  end
-
-let check_overtake r scope ~what =
-  let n = Run.Abstract.nmsgs r in
-  let found = ref None in
-  (try
-     for x = 0 to n - 1 do
-       for y = 0 to n - 1 do
-         if
-           x <> y
-           && Run.Abstract.lt r (Event.send x) (Event.send y)
-           && Run.Abstract.lt r (Event.deliver y) (Event.deliver x)
-           && scope_same r scope x y
-         then begin
-           found :=
-             Some
-               {
-                 cycle = [ x; y ];
-                 reason =
-                   Printf.sprintf
-                     "x%d.s > x%d.s but x%d.r > x%d.r with %s: x%d overtaken"
-                     x y y x what x;
-               };
-           raise Exit
-         end
-       done
-     done
-   with Exit -> ());
-  match !found with None -> Ok () | Some v -> Error v
-
+(* The witness-producing references: the Limits ones, and a
+   reachability DFS per message for Ksync. *)
 let check m r =
-  let n = Run.Abstract.nmsgs r in
   match norm m with
   | Async -> Ok ()
-  | Rsc -> (
-      match Limits.check_sync r with Ok _ -> Ok () | Error v -> Error v)
+  | Rsc -> Result.map ignore (Limits.check_sync r)
+  | Fifo_nn -> Result.map ignore Limits.(check_acyclic One_queue r)
   | Causal -> Limits.check_causal r
+  | Fifo_1n -> Limits.(check_overtake Same_src r)
+  | Fifo_n1 -> Limits.(check_overtake Same_dst r)
+  | Fifo_11 -> Limits.(check_overtake Same_channel r)
   | Ksync k ->
+      let n = Run.Abstract.nmsgs r in
       let succ = Array.make n [] in
       List.iter
         (fun (x, y) -> succ.(x) <- y :: succ.(x))
@@ -371,22 +114,6 @@ let check m r =
                  messages > k = %d"
                 !best_len k;
           }
-  | Fifo_nn ->
-      let succ = Array.make n [] in
-      for x = 0 to n - 1 do
-        for y = 0 to n - 1 do
-          if
-            x <> y
-            && (Run.Abstract.lt r (Event.send x) (Event.send y)
-               || Run.Abstract.lt r (Event.deliver x) (Event.send y)
-               || Run.Abstract.lt r (Event.deliver x) (Event.deliver y))
-          then succ.(x) <- y :: succ.(x)
-        done
-      done;
-      acyclic_or_cycle succ n ~what:"one-queue FIFO"
-  | Fifo_1n -> check_overtake r By_src ~what:"the same sender"
-  | Fifo_n1 -> check_overtake r By_dst ~what:"the same destination"
-  | Fifo_11 -> check_overtake r By_pair ~what:"the same channel"
 
 (* ------------------------------------------------------------------ *)
 (* The order, as data                                                 *)

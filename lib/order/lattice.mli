@@ -61,25 +61,25 @@ type model =
 type violation = Limits.violation = { cycle : int list; reason : string }
 
 val is_member : model -> Run.Abstract.t -> bool
-(** Membership of the run in the model's limit set, over the packed
-    {!Run.Abstract.masks} rows when available (runs of ≤ 62 messages)
-    with a {!Bitset} fallback over {!Run.Abstract.relations} otherwise.
+(** Membership of the run in the model's limit set, by one of the three
+    {!Limits} kernels: {!Limits.acyclic} for [Rsc] (the message graph)
+    and [Fifo_nn] (the one-queue graph), {!Limits.max_scc} for [Ksync],
+    {!Limits.no_overtake} for [Causal] and the FIFO models.
     @raise Invalid_argument on [Ksync k] with [k < 1]. *)
 
 val max_scc : Run.Abstract.t -> int
-(** The number of messages in the largest strongly connected component
-    of the message graph ([nmsgs] when that is 0 or 1): [is_member
-    (Ksync k) r] is exactly [max_scc r <= k], so one count answers every
-    [k]. *)
+(** {!Limits.max_scc}: [is_member (Ksync k) r] is exactly
+    [max_scc r <= k], so one count answers every [k]. *)
 
 val check : model -> Run.Abstract.t -> (unit, violation) result
 (** The witness-producing reference: recomputes membership over
-    {!Run.Abstract.lt} / {!Run.Abstract.message_graph} without touching
-    the mask fast path, and on failure names the offending messages —
-    the overtaking pair for the FIFO/causal models, the message cycle
-    for [Rsc]/[Fifo_nn], the oversized strongly connected component for
-    [Ksync]. Agrees with {!is_member} on every run (the differential
-    bar of test/test_lattice.ml and bench B17). *)
+    {!Run.Abstract.lt} without the kernels' rows, and on failure names the
+    offending messages — the overtaking pair for the FIFO/causal models
+    ({!Limits.check_overtake}), the message cycle for [Rsc]/[Fifo_nn]
+    ({!Limits.check_acyclic}), the oversized strongly connected component
+    for [Ksync] (a reachability search per message). Agrees with
+    {!is_member} on every run (the differential bar of
+    test/test_lattice.ml and bench B17). *)
 
 (** {1 The lattice order, as data} *)
 

@@ -158,35 +158,9 @@ let frontier_bytes t =
   in
   word * words
 
+(* the message graph's edges x → y are the bits x of pred.(y) *)
 let finalize_sync t =
-  let n = t.nmsgs in
-  let removed = Array.make n false in
-  let indeg = Array.make n 0 in
-  for y = 0 to n - 1 do
-    indeg.(y) <- Bitset.cardinal t.pred.(y)
-  done;
-  let queue = Queue.create () in
-  for y = 0 to n - 1 do
-    if indeg.(y) = 0 then Queue.add y queue
-  done;
-  let numbering = Array.make n (-1) in
-  let count = ref 0 in
-  while not (Queue.is_empty queue) do
-    let x = Queue.pop queue in
-    numbering.(x) <- !count;
-    incr count;
-    removed.(x) <- true;
-    for y = 0 to n - 1 do
-      if (not removed.(y)) && Bitset.mem t.pred.(y) x then begin
-        indeg.(y) <- indeg.(y) - 1;
-        if indeg.(y) = 0 then Queue.add y queue
-      end
-    done
-  done;
-  if !count = n then Ok numbering
-  else
-    Error
-      (List.filter (fun y -> not removed.(y)) (List.init n Fun.id))
+  Limits.numbering_or_crown t.nmsgs (fun x y -> Bitset.mem t.pred.(y) x)
 
 let feed_run run =
   let nmsgs = Run.nmsgs run in

@@ -59,7 +59,7 @@ val frontier_bytes : t -> int
 val finalize_sync : t -> (int array, int list) result
 (** After the run: [Ok numbering] if the run was logically synchronous
     (the SYNC numbering over messages), or [Error cycle] with a message
-    cycle (crown). *)
+    cycle (crown), in edge order, from {!Limits.numbering_or_crown}. *)
 
 val feed_run : Run.t -> violation list * (int array, int list) result
 (** Drive the monitor with a recorded run (events in a linear extension)

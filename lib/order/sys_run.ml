@@ -308,40 +308,19 @@ module Lemma2 = struct
      acyclic: x -> y when some event of x precedes some event of y *)
   let vertical_numbering_exists t =
     let nmsgs = Array.length t.msgs in
-    let succ = Array.make nmsgs [] in
     let kinds = [ E.Invoke; E.Send; E.Receive; E.Deliver ] in
-    for x = 0 to nmsgs - 1 do
-      for y = 0 to nmsgs - 1 do
-        if x <> y then
-          let precedes =
-            List.exists
-              (fun ka ->
-                List.exists
-                  (fun kb ->
-                    lt t { E.msg = x; kind = ka } { E.msg = y; kind = kb })
-                  kinds)
-              kinds
-          in
-          if precedes then succ.(x) <- y :: succ.(x)
-      done
-    done;
-    let indeg = Array.make nmsgs 0 in
-    Array.iter (List.iter (fun y -> indeg.(y) <- indeg.(y) + 1)) succ;
-    let queue = Queue.create () in
-    for x = 0 to nmsgs - 1 do
-      if indeg.(x) = 0 then Queue.add x queue
-    done;
-    let seen = ref 0 in
-    while not (Queue.is_empty queue) do
-      let x = Queue.pop queue in
-      incr seen;
-      List.iter
-        (fun y ->
-          indeg.(y) <- indeg.(y) - 1;
-          if indeg.(y) = 0 then Queue.add y queue)
-        succ.(x)
-    done;
-    !seen = nmsgs
+    let precedes x y =
+      x <> y
+      && List.exists
+           (fun ka ->
+             List.exists
+               (fun kb -> lt t { E.msg = x; kind = ka } { E.msg = y; kind = kb })
+               kinds)
+           kinds
+    in
+    (* Kahn asks each pair twice: ask the order once *)
+    let adj = Array.init nmsgs (fun x -> Array.init nmsgs (precedes x)) in
+    Result.is_ok (Limits.numbering_or_crown nmsgs (fun x y -> adj.(x).(y)))
 
   let in_general_set t = in_tagged_set t && vertical_numbering_exists t
 end

@@ -135,6 +135,20 @@ let test_next () =
     (Invalid_argument "Bitset.next: negative index") (fun () ->
       ignore (Bitset.next (Bitset.create 8) (-1)))
 
+(* [cardinal] is a plain byte loop: 1,000 calls on a multi-byte set
+   allocate no minor words *)
+let test_cardinal_allocation_free () =
+  let s = Bitset.of_list 130 [ 0; 7; 8; 63; 64; 129 ] in
+  check_int "cardinal" 6 (Bitset.cardinal s);
+  let total = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    total := !total + Bitset.cardinal s
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check_int "every call counted" 6_000 !total;
+  Alcotest.(check (float 0.)) "minor words over 1,000 calls" 0. words
+
 let () =
   Alcotest.run "bitset"
     [
@@ -149,6 +163,8 @@ let () =
           Alcotest.test_case "iter/fold" `Quick test_iter_fold;
           Alcotest.test_case "lowest_bit" `Quick test_lowest_bit;
           Alcotest.test_case "next" `Quick test_next;
+          Alcotest.test_case "cardinal allocates nothing" `Quick
+            test_cardinal_allocation_free;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

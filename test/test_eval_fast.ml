@@ -303,6 +303,46 @@ let big_overtake =
          (Event.send 0, Event.send 1); (Event.deliver 1, Event.deliver 0);
        ])
 
+(* [core] edges over messages 0 .. k-1 with attributes [attrs], then a
+   pipelined tail up to [big_n] messages that hangs below x(k-1)'s
+   delivery, each tail message on a channel of its own *)
+let padded ~k ~attrs core =
+  let tail =
+    List.init (big_n - k) (fun i ->
+        (Event.deliver (k + i - 1), Event.send (k + i)))
+  in
+  let attrs =
+    Array.init big_n (fun m ->
+        if m < k then attrs m
+        else Run.attrs_known ~src:(100 + m) ~dst:(200 + m) ())
+  in
+  Run.Abstract.create_exn ~nmsgs:big_n ~attrs (core @ tail)
+
+(* x1 sent after x0 and delivered before it, x0 at (0, 0 -> d0) and x1
+   at (0, 0 -> d1) *)
+let overtake_pair ~d1 =
+  padded ~k:2
+    ~attrs:(fun m ->
+      Run.attrs_known ~src:0 ~dst:(if m = 0 then 1 else d1) ())
+    [ (Event.send 0, Event.send 1); (Event.deliver 1, Event.deliver 0) ]
+
+let big_channel_overtake = lazy (overtake_pair ~d1:1)
+let big_source_overtake = lazy (overtake_pair ~d1:2)
+
+let big_crown2 =
+  lazy
+    (padded ~k:2
+       ~attrs:(fun m -> Run.attrs_known ~src:m ~dst:(1 - m) ())
+       [ (Event.send 0, Event.deliver 1); (Event.send 1, Event.deliver 0) ])
+
+(* each xi sent before x(i+1) is delivered: one crown through all 63 *)
+let big_ring =
+  lazy
+    (padded ~k:63
+       ~attrs:(fun m -> Run.attrs_known ~src:m ~dst:((m + 62) mod 63) ())
+       (List.init 63 (fun i ->
+            (Event.send i, Event.deliver ((i + 1) mod 63)))))
+
 let test_big_runs () =
   List.iter
     (fun r ->
@@ -314,15 +354,53 @@ let test_big_runs () =
       check_bool "is_sync = check_sync" (Limits.is_sync r)
         (Result.is_ok (Limits.check_sync r));
       List.iter
+        (fun m ->
+          check_bool
+            ("is_member = check: " ^ Lattice.to_string m)
+            (Lattice.is_member m r)
+            (Result.is_ok (Lattice.check m r)))
+        (Lattice.points ~kmax:3 ());
+      List.iter
+        (fun k ->
+          match Lattice.check (Lattice.Ksync k) r with
+          | Ok () -> check_bool "max_scc <= k" true (Lattice.max_scc r <= k)
+          | Error v ->
+              check_int "max_scc = largest SCC" (List.length v.Lattice.cycle)
+                (Lattice.max_scc r))
+        [ 2; 3 ];
+      List.iter
         (fun (e : Catalog.entry) ->
           check_bool e.Catalog.name
             (Eval.holds_ref e.Catalog.pred r)
             (Eval.holds e.Catalog.pred r))
         [ Catalog.causal_b2; Catalog.sync_crown 2; Catalog.fifo ])
-    [ big_chain; big_overtake ];
+    [
+      big_chain;
+      big_overtake;
+      big_channel_overtake;
+      big_source_overtake;
+      big_crown2;
+      big_ring;
+    ];
   check_bool "chain is causal" true (Limits.is_causal (Lazy.force big_chain));
   check_bool "overtake is not causal" false
-    (Limits.is_causal (Lazy.force big_overtake))
+    (Limits.is_causal (Lazy.force big_overtake));
+  let check_members name r want =
+    let points = Lattice.points ~kmax:3 () in
+    List.filter (fun m -> Lattice.is_member m (Lazy.force r)) points
+    |> List.map Lattice.to_string |> String.concat " "
+    |> Alcotest.(check string) name want
+  in
+  check_members "same-channel overtake" big_channel_overtake
+    "ksync2 ksync3 async";
+  check_members "same-source overtake" big_source_overtake
+    "ksync2 ksync3 fifo-n1 fifo-11 async";
+  check_members "2-crown" big_crown2
+    "ksync2 ksync3 fifo-nn causal fifo-1n fifo-n1 fifo-11 async";
+  check_members "63-ring crown" big_ring
+    "fifo-nn causal fifo-1n fifo-n1 fifo-11 async";
+  check_int "ring SCC" 63 (Lattice.max_scc (Lazy.force big_ring));
+  check_int "2-crown SCC" 2 (Lattice.max_scc (Lazy.force big_crown2))
 
 (* ---- pinned model-checker counts (B12 tier) ----------------------- *)
 

@@ -78,6 +78,15 @@ let test_sync_cycle_extraction () =
          (Event.send 1, Event.deliver 2);
          (Event.send 2, Event.deliver 0);
        ]);
+  (* a crown x1/x2 with x0 sent after x1's delivery: x0 hangs below the
+     crown with no successor, and the search must back out of it *)
+  check_cycle
+    (Run.Abstract.create_exn ~nmsgs:3
+       [
+         (Event.send 1, Event.deliver 2);
+         (Event.send 2, Event.deliver 1);
+         (Event.deliver 1, Event.send 0);
+       ]);
   (* crown buried among extra sync messages *)
   check_cycle
     (Run.Abstract.create_exn ~nmsgs:4

@@ -444,7 +444,8 @@ let test_packed_allocation_free () =
     (pmon short) (pmon long)
 
 (* the wide (Bitset) frontier and its matcher allocate nothing per
-   event either: a forced-wide monitor and a window-128 Pmon *)
+   event either: a forced-wide monitor, asked for its pending count
+   after every event, and a window-128 Pmon *)
 let test_wide_allocation_free () =
   let short = clean_events 50 and long = clean_events 5_000 in
   let nprocs = Stream.default_profile.Stream.nprocs in
@@ -453,9 +454,11 @@ let test_wide_allocation_free () =
     check_bool "wide" true (Monitor.is_wide m);
     let w =
       words_fed
-        (function
+        (fun ev ->
+          (match ev with
           | Stream.Send { msg; src; dst } -> Monitor.send m ~msg ~src ~dst ()
-          | Stream.Deliver { msg } -> Monitor.deliver m ~msg)
+          | Stream.Deliver { msg } -> Monitor.deliver m ~msg);
+          ignore (Monitor.pending m))
         evs
     in
     check_int "all events consumed" (Array.length evs) (Monitor.events m);

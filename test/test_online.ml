@@ -62,6 +62,41 @@ let prop_sync_numbering =
             (Run.Abstract.message_graph a)
       | _, Error _ -> false)
 
+(* every consecutive pair of [cycle], the last back to the first
+   included, is an edge of the run's message graph *)
+let is_graph_cycle a cycle =
+  let edges = Run.Abstract.message_graph a and arr = Array.of_list cycle in
+  let k = Array.length arr in
+  k >= 2
+  && List.for_all
+       (fun i -> List.mem (arr.(i), arr.((i + 1) mod k)) edges)
+       (List.init k Fun.id)
+
+let prop_crown_is_cycle =
+  QCheck.Test.make ~name:"finalize crown is a message-graph cycle" ~count:100
+    QCheck.(int_bound 5_000)
+    (fun seed ->
+      let r = Random_run.run ~nprocs:4 ~nmsgs:14 ~seed () in
+      let a = Run.to_abstract r in
+      match Online.feed_run r with
+      | _, Ok _ -> Limits.is_sync a
+      | _, Error cycle -> is_graph_cycle a cycle)
+
+(* x0 and x1 form a 2-crown and x2, sent after x0's delivery, hangs
+   below it: x2 is on no cycle, so the crown is {0, 1} alone *)
+let test_crown_excludes_hangers () =
+  let t = Online.create ~nprocs:3 ~nmsgs:3 in
+  Online.send t ~msg:0 ~src:0 ~dst:1;
+  Online.send t ~msg:1 ~src:1 ~dst:0;
+  check_int "no violation at x1" 0 (List.length (Online.deliver t ~msg:1));
+  check_int "no violation at x0" 0 (List.length (Online.deliver t ~msg:0));
+  Online.send t ~msg:2 ~src:1 ~dst:2;
+  check_int "no violation at x2" 0 (List.length (Online.deliver t ~msg:2));
+  match Online.finalize_sync t with
+  | Ok _ -> Alcotest.fail "expected a crown"
+  | Error cycle ->
+      Alcotest.(check (list int)) "crown" [ 0; 1 ] (List.sort compare cycle)
+
 let test_violation_identities () =
   (* P0 sends x0 then x1 on one channel; delivery inverted *)
   let r =
@@ -141,6 +176,8 @@ let () =
             test_agreement_exhaustive;
           Alcotest.test_case "violation identities" `Quick
             test_violation_identities;
+          Alcotest.test_case "crown excludes hanging messages" `Quick
+            test_crown_excludes_hangers;
           Alcotest.test_case "misuse detected" `Quick test_misuse_detected;
           Alcotest.test_case "events and frontier accounting" `Quick
             test_accounting;
@@ -152,5 +189,6 @@ let () =
             prop_agreement_random;
             prop_agreement_causal_runs;
             prop_sync_numbering;
+            prop_crown_is_cycle;
           ] );
     ]
