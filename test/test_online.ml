@@ -176,12 +176,12 @@ let () =
             test_agreement_exhaustive;
           Alcotest.test_case "violation identities" `Quick
             test_violation_identities;
-          Alcotest.test_case "crown excludes hanging messages" `Quick
-            test_crown_excludes_hangers;
           Alcotest.test_case "misuse detected" `Quick test_misuse_detected;
           Alcotest.test_case "events and frontier accounting" `Quick
             test_accounting;
           Alcotest.test_case "scales to 2000 messages" `Slow test_scales;
+          Alcotest.test_case "crown excludes hanging messages" `Quick
+            test_crown_excludes_hangers;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
