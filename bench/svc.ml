@@ -147,7 +147,7 @@ let drive engine reqs =
         { Mo_service.Codec.id = i; deadline_ms = None; req = Mo_service.Codec.Classify p }
       in
       match fst (Mo_service.Engine.serve_reply engine env) with
-      | Mo_service.Codec.Payload _ -> ()
+      | Mo_service.Codec.Payload _ | Mo_service.Codec.Responses _ -> ()
       | Mo_service.Codec.Json resp -> (
           match Mo_service.Codec.result_of_response resp with
           | Ok _ -> ()
@@ -191,7 +191,7 @@ let drive_grouped engine groups =
       let replies, _stop = Mo_service.Engine.serve_replies engine group in
       List.iter
         (function
-          | Mo_service.Codec.Payload _ -> ()
+          | Mo_service.Codec.Payload _ | Mo_service.Codec.Responses _ -> ()
           | Mo_service.Codec.Json resp -> (
               match Mo_service.Codec.result_of_response resp with
               | Ok _ -> ()

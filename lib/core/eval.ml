@@ -189,7 +189,8 @@ let build_stages p order =
 
 (* Greedy most-constrained-first: repeatedly pick the unordered variable
    with the most conjunct links to already-ordered ones; ties go to the
-   higher total conjunct degree, then the lower index (determinism). *)
+   higher total conjunct degree, then the higher index (determinism: the
+   scan runs from the last variable down and keeps the first best). *)
 let constrained_order p =
   let m = Forbidden.nvars p in
   let degree = Array.make m 0 in
@@ -264,10 +265,11 @@ type packed = {
   assignment : int array;
 }
 
-let rec diag_ok p c (diag : int array) j =
+(* a same-variable conjunct is one bit test of the matrix diagonal *)
+let rec diag_rows masks stride c (diag : int array) j =
   j = Array.length diag
-  || p.masks.((diag.(j) * p.stride) + c) land (1 lsl c) <> 0
-     && diag_ok p c diag (j + 1)
+  || masks.((diag.(j) * stride) + c) land (1 lsl c) <> 0
+     && diag_rows masks stride c diag (j + 1)
 
 (* The staged matcher over packed int-mask rows — runs of ≤ 62 messages
    (everything the enumeration kernel emits) and the streaming monitor's
@@ -298,12 +300,81 @@ and candidates p plan ~distinct ~emit i used st cand =
   &&
   let c = Bitset.lowest_bit cand in
   p.assignment.(st.var) <- c;
-  (diag_ok p c st.diag 0
+  (diag_rows p.masks p.stride c st.diag 0
   && guards_ok ~srcs:p.srcs ~dsts:p.dsts ~colors:p.colors p.assignment
        st.sguards 0
   && stage p plan ~distinct ~emit (i + 1)
        (if distinct then used lor (1 lsl c) else used))
   || candidates p plan ~distinct ~emit i used st (cand land (cand - 1))
+
+let stop _ = false
+
+(* [guards_ok] for the pair loop below, with no assignment: its first
+   variable [v0] is at message [x], its second at [y] (a first-stage
+   guard reads only [v0]'s message). *)
+let rec pair_guards ~srcs ~dsts ~colors v0 x y (gs : Term.guard array) j =
+  j = Array.length gs
+  || (match gs.(j) with
+     | Term.Same_src (u, v) ->
+         let s = srcs.(if u = v0 then x else y) in
+         s >= 0 && s = srcs.(if v = v0 then x else y)
+     | Term.Same_dst (u, v) ->
+         let d = dsts.(if u = v0 then x else y) in
+         d >= 0 && d = dsts.(if v = v0 then x else y)
+     | Term.Color_is (u, c) -> colors.(if u = v0 then x else y) = c)
+     && pair_guards ~srcs ~dsts ~colors v0 x y gs (j + 1)
+
+(* A two-variable plan — every Lemma 3.2/3.3 form, causal_b2, fifo and
+   crown-2 — as one flat loop: each candidate [x] of the first variable
+   costs one intersection of the second variable's rows at [x], then a
+   scan of what is left. The candidates are visited in [stage]'s order,
+   so the first match is the one [stage] stops at. It is returned as
+   [x lsl 6 lor y] (both below 62), or -1 for none: with no assignment,
+   no emit callback and no recursion per stage, a run query allocates
+   nothing, and this is the quotiented walk's per-leaf evaluation. *)
+let pair plan ~distinct ~masks ~stride ~live ~srcs ~dsts ~colors =
+  let s0 = plan.(0) and s1 = plan.(1) in
+  let v0 = s0.var in
+  let c0 = ref live and hit = ref (-1) in
+  while !hit < 0 && !c0 <> 0 do
+    let x = Bitset.lowest_bit !c0 in
+    if
+      diag_rows masks stride x s0.diag 0
+      && pair_guards ~srcs ~dsts ~colors v0 x x s0.sguards 0
+    then begin
+      let c1 = ref (if distinct then live land lnot (1 lsl x) else live) in
+      for r = 0 to Array.length s1.secs - 1 do
+        c1 := !c1 land masks.((s1.secs.(r) * stride) + x)
+      done;
+      while !hit < 0 && !c1 <> 0 do
+        let y = Bitset.lowest_bit !c1 in
+        if
+          diag_rows masks stride y s1.diag 0
+          && pair_guards ~srcs ~dsts ~colors v0 x y s1.sguards 0
+        then hit := (x lsl 6) lor y;
+        c1 := !c1 land (!c1 - 1)
+      done
+    end;
+    c0 := !c0 land (!c0 - 1)
+  done;
+  !hit
+
+(* Is there a match? The pair loop for two variables, else the staged
+   search stopped at its first match; either way the match is left in
+   the assignment. *)
+let exists p plan ~distinct =
+  if Array.length plan = 2 then begin
+    let hit =
+      pair plan ~distinct ~masks:p.masks ~stride:p.stride ~live:p.live
+        ~srcs:p.srcs ~dsts:p.dsts ~colors:p.colors
+    in
+    if hit >= 0 then begin
+      p.assignment.(plan.(0).var) <- hit lsr 6;
+      p.assignment.(plan.(1).var) <- hit land 63
+    end;
+    hit >= 0
+  end
+  else stage p plan ~distinct ~emit:stop 0 0
 
 (* What one wide search reads: the Bitset rows ([n] per section, [n]
    the capacity of [wlive]), the live messages, the attribute columns
@@ -374,16 +445,19 @@ and wide_candidates w plan ~distinct ~emit i st c =
             (Bitset.next w.wcands.(i) (c + 1))
      end
 
-let stop _ = false
-
-(* One run: its own packed rows when it has them, else its Bitset view. *)
+(* One run: its own packed rows when it has them, else its Bitset view.
+   With no [emit] the query only asks whether a match exists. *)
 let run_plan plan ~distinct run emit =
   let n = Run.Abstract.nmsgs run and m = Array.length plan in
   if distinct && n < m then false
   else
-    let t = Run.Abstract.attr_table run and assignment = Array.make m (-1) in
-    match Run.Abstract.masks run with
-    | Some masks ->
+    let t = Run.Abstract.attr_table run in
+    match (Run.Abstract.masks run, emit) with
+    | Some masks, None when m = 2 ->
+        pair plan ~distinct ~masks ~stride:n ~live:((1 lsl n) - 1)
+          ~srcs:t.srcs ~dsts:t.dsts ~colors:t.colors
+        >= 0
+    | Some masks, _ ->
         stage
           {
             masks;
@@ -392,31 +466,37 @@ let run_plan plan ~distinct run emit =
             srcs = t.srcs;
             dsts = t.dsts;
             colors = t.colors;
-            assignment;
+            assignment = Array.make m (-1);
           }
-          plan ~distinct ~emit 0 0
-    | None ->
+          plan ~distinct
+          ~emit:(Option.value emit ~default:stop)
+          0 0
+    | None, _ ->
         let (r : Run.Abstract.relations) = Run.Abstract.relations run in
         let rel =
           Array.concat
             [ r.ss; r.sr; r.rs; r.rr; r.ss_t; r.sr_t; r.rs_t; r.rr_t ]
         in
-        let w = wide_search ~stages:m ~n assignment in
+        let w = wide_search ~stages:m ~n (Array.make m (-1)) in
         Bitset.set_all w.wlive;
         w.wrel <- rel;
         w.wsrcs <- t.srcs;
         w.wdsts <- t.dsts;
         w.wcolors <- t.colors;
-        wide_stage w plan ~distinct ~emit 0
+        wide_stage w plan ~distinct
+          ~emit:(Option.value emit ~default:stop)
+          0
 
 let search_compiled ?(distinct = true) ?(limit = max_int) c run =
   let results = ref [] in
   let count = ref 0 in
   ignore
-    (run_plan c.lex ~distinct run (fun a ->
-         incr count;
-         results := Array.copy a :: !results;
-         !count < limit));
+    (run_plan c.lex ~distinct run
+       (Some
+          (fun a ->
+            incr count;
+            results := Array.copy a :: !results;
+            !count < limit)));
   List.rev !results
 
 let find_match_c ?distinct c run =
@@ -427,7 +507,7 @@ let find_match_c ?distinct c run =
 let find_matches_c ?distinct ?(limit = 1000) c run =
   search_compiled ?distinct ~limit c run
 
-let holds_c ?(distinct = true) c run = run_plan c.fast ~distinct run stop
+let holds_c ?(distinct = true) c run = run_plan c.fast ~distinct run None
 
 let satisfies_c ?distinct c run = not (holds_c ?distinct c run)
 
@@ -484,7 +564,7 @@ module Masked = struct
     p.srcs <- src;
     p.dsts <- dst;
     p.colors <- color;
-    stage p u.c.fast ~distinct:u.distinct ~emit:stop 0 0
+    exists p u.c.fast ~distinct:u.distinct
 
   (* a stopped search leaves its match in the assignment *)
   let find u ~n ~live ~masks ~src ~dst ~color =

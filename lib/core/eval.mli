@@ -19,7 +19,17 @@
     ordering for the boolean queries. One search loop serves both run
     queries and {!Masked}, the streaming monitor's entry point; runs past
     62 messages and wide monitor windows take the same plan over Bitset
-    rows. The original backtracking interpreter is kept verbatim as the
+    rows.
+
+    A two-variable plan — every Lemma 3.2/3.3 form, [causal_b2], [fifo]
+    and the 2-crown — runs its boolean queries ({!holds_c},
+    {!satisfies_c}, {!Masked.holds}, {!Masked.find}) over packed rows
+    as one flat loop: each candidate of the first variable costs one
+    row intersection for the second. It visits the same candidates in
+    the same order as the staged search, so it stops at the same first
+    match, and {!Masked.find} returns the same assignment (and [Pmon]
+    the same witness) as the staged search would. A run query on this
+    path allocates nothing. The original backtracking interpreter is kept verbatim as the
     differential reference ([*_ref]); the two agree byte-for-byte (see
     test/test_eval_fast.ml). *)
 
@@ -115,7 +125,10 @@ module Masked : sig
     color:int array ->
     int array option
   (** The first satisfying assignment (variable index → slot index) in
-      the fast plan's order, if any. *)
+      the fast plan's order, if any: the least satisfying assignment
+      when slots are compared variable by variable in the plan's order.
+      For two variables that order is pinned against a brute-force
+      oracle in test/test_eval_fast.ml. *)
 
   val holds_wide :
     matcher ->

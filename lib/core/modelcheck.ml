@@ -143,14 +143,10 @@ let verify ?pool ?(sym = false) ~sizes () =
   with_pool pool (fun pool ->
       let total =
         if sym then
-          List.fold_left
-            (fun acc (nprocs, nmsgs) ->
-              acc_merge acc
-                (Enumerate.fold_abstracts_sym_par ~pool ~nprocs ~nmsgs
-                   ?prune:(verify_prune plans) ~init:acc_init
-                   ~f:(fun acc ~mult r -> step_mult plans ~mult acc r)
-                   ~merge:acc_merge ()))
-            acc_init sizes
+          Enumerate.fold_abstracts_sym_par ~pool ~sizes
+            ?prune:(verify_prune plans) ~init:acc_init
+            ~f:(fun acc ~mult r -> step_mult plans ~mult acc r)
+            ~merge:acc_merge ()
         else
           List.fold_left
             (fun acc (nprocs, nmsgs) ->
@@ -265,21 +261,19 @@ let count ?pool ?(sym = false) ~sizes () =
       fun acc ~mult ~runs _a -> { acc with runs = acc.runs + (mult * runs) } )
   in
   with_pool pool (fun pool ->
-      List.fold_left
-        (fun acc (nprocs, nmsgs) ->
-          let c =
-            if sym then
-              Enumerate.fold_abstracts_sym_par ~pool ~nprocs ~nmsgs
-                ~prune:cprune ~init:czero
-                ~f:(fun acc ~mult r -> cstep ~mult acc r)
-                ~merge:cmerge ()
-            else
-              Enumerate.fold_abstracts_par ~pool ~nprocs ~nmsgs ~init:czero
-                ~f:(fun acc r -> cstep ~mult:1 acc r)
-                ~merge:cmerge ()
-          in
-          cmerge acc c)
-        czero sizes)
+      if sym then
+        Enumerate.fold_abstracts_sym_par ~pool ~sizes ~prune:cprune
+          ~init:czero
+          ~f:(fun acc ~mult r -> cstep ~mult acc r)
+          ~merge:cmerge ()
+      else
+        List.fold_left
+          (fun acc (nprocs, nmsgs) ->
+            cmerge acc
+              (Enumerate.fold_abstracts_par ~pool ~nprocs ~nmsgs ~init:czero
+                 ~f:(fun acc r -> cstep ~mult:1 acc r)
+                 ~merge:cmerge ()))
+          czero sizes)
 
 (* ------------------------------------------------------------------ *)
 (* Placement against the communication-model lattice.                  *)

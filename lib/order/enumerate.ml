@@ -19,6 +19,22 @@ let events_of ~nmsgs ~msgs p =
   done;
   !acc
 
+(* Both kernels number their builder's vertices sends first: [x.s] is
+   vertex [x] and [x.r] is vertex [nmsgs + x]. A vertex's reach row then
+   holds the sends it reaches in its low [nmsgs] bits and the deliveries
+   above them, so the leaf masks are one mask and one shift per row
+   ({!masks_of_builder}). *)
+let vertex ~nmsgs (e : Event.t) =
+  match e.point with Event.S -> e.msg | Event.R -> nmsgs + e.msg
+
+(* a builder whose only edges are the [x.s ▷ x.r] of every message *)
+let message_order ~nmsgs =
+  let b = Order_builder.create (2 * nmsgs) in
+  for m = 0 to nmsgs - 1 do
+    Order_builder.add_edge_exn b m (nmsgs + m)
+  done;
+  b
+
 (* The backtracking kernel. One Order_builder carries the happened-before
    closure across the whole configuration: it starts with the x.s ▷ x.r
    edge of every message, and placing an event as the next step of its
@@ -38,12 +54,7 @@ let enum ~nprocs ~msgs ~leaf =
       msgs
   in
   if valid then begin
-    let b = Order_builder.create (2 * nmsgs) in
-    for m = 0 to nmsgs - 1 do
-      Order_builder.add_edge_exn b
-        (Event.encode (Event.send m))
-        (Event.encode (Event.deliver m))
-    done;
+    let b = message_order ~nmsgs in
     let evs =
       Array.init nprocs (fun p ->
           Array.of_list (events_of ~nmsgs ~msgs p))
@@ -61,13 +72,13 @@ let enum ~nprocs ~msgs ~leaf =
         for j = 0 to nev.(p) - 1 do
           if not used.(p).(j) then begin
             let e = evs.(p).(j) in
-            let enc = Event.encode e in
+            let v = vertex ~nmsgs e in
             let m = Order_builder.mark b in
-            let ok = prev < 0 || Order_builder.add_edge b prev enc = `Ok in
+            let ok = prev < 0 || Order_builder.add_edge b prev v = `Ok in
             if ok then begin
               used.(p).(j) <- true;
               chosen.(p).(i) <- e;
-              place p (i + 1) enc;
+              place p (i + 1) v;
               used.(p).(j) <- false
             end;
             Order_builder.undo b m
@@ -77,23 +88,24 @@ let enum ~nprocs ~msgs ~leaf =
     proc 0
   end
 
-let fold_runs ~nprocs ~msgs ~init ~f =
-  let acc = ref init in
-  enum ~nprocs ~msgs ~leaf:(fun ~seq ~builder ->
-      let r =
-        Run.of_enumeration ~nprocs ~msgs
-          ~po:(Order_builder.snapshot builder)
-          (Array.map Array.to_list seq)
-      in
-      acc := f !acc r);
-  !acc
-
+(* A concrete run's order lives on Event.encode'd vertices: its snapshot
+   renumbers the builder's sends-first vertices. *)
 let iter_runs ~nprocs ~msgs f =
+  let nmsgs = Array.length msgs in
+  let encode =
+    Array.init (2 * nmsgs) (fun v ->
+        if v < nmsgs then 2 * v else (2 * (v - nmsgs)) + 1)
+  in
   enum ~nprocs ~msgs ~leaf:(fun ~seq ~builder ->
       f
         (Run.of_enumeration ~nprocs ~msgs
-           ~po:(Order_builder.snapshot builder)
+           ~po:(Order_builder.snapshot ~relabel:encode builder)
            (Array.map Array.to_list seq)))
+
+let fold_runs ~nprocs ~msgs ~init ~f =
+  let acc = ref init in
+  iter_runs ~nprocs ~msgs (fun r -> acc := f !acc r);
+  !acc
 
 let runs ~nprocs ~msgs =
   List.rev (fold_runs ~nprocs ~msgs ~init:[] ~f:(fun acc r -> r :: acc))
@@ -104,41 +116,28 @@ let count_runs ~nprocs ~msgs =
   enum ~nprocs ~msgs ~leaf:(fun ~seq:_ ~builder:_ -> incr n);
   !n
 
-(* bits 0, 2, 4 and 6 of a byte, packed into bits 0..3 *)
-let even_bits =
-  Array.init 256 (fun b ->
-      (b land 1) lor ((b lsr 1) land 2) lor ((b lsr 2) land 4)
-      lor ((b lsr 3) land 8))
-
-(* bit 2y of [row] becomes bit y, a byte (four messages) at a time *)
-let rec compress_even row shift acc =
-  if row = 0 then acc
-  else
-    compress_even (row lsr 8) (shift + 4)
-      (acc lor (even_bits.(row land 255) lsl shift))
-
-(* De-interleave a builder's event-level reach rows into Run.Abstract's
-   packed msg×msg masks (rows ss sr rs rr, then their transposes). Valid
-   on partial closures too: the projection of whatever edges are present. *)
+(* Split a builder's reach and predecessor rows into Run.Abstract's
+   packed msg×msg masks (rows ss sr rs rr, then their transposes). Under
+   the sends-first numbering row [x.s] is ss in its low bits and sr
+   above them, and row [x.r] likewise rs and rr; the predecessor rows of
+   [y.s] and [y.r] give the transposes the same way. Valid on partial
+   closures too: the projection of whatever edges are present. *)
 let masks_of_builder ~nmsgs b =
   let masks = Array.make (8 * nmsgs) 0 in
-  for u = 0 to (2 * nmsgs) - 1 do
-    let x = u lsr 1 in
-    let base = if u land 1 = 0 then 0 else 2 in
-    let row = Order_builder.reach_mask b u in
-    masks.((base * nmsgs) + x) <- compress_even row 0 0;
-    masks.(((base + 1) * nmsgs) + x) <- compress_even (row lsr 1) 0 0
-  done;
-  for k = 0 to 3 do
-    let fwd = k * nmsgs and bwd = (k + 4) * nmsgs in
-    for x = 0 to nmsgs - 1 do
-      let bits = ref masks.(fwd + x) in
-      while !bits <> 0 do
-        let y = Bitset.lowest_bit !bits in
-        masks.(bwd + y) <- masks.(bwd + y) lor (1 lsl x);
-        bits := !bits land (!bits - 1)
-      done
-    done
+  let low = (1 lsl nmsgs) - 1 in
+  for x = 0 to nmsgs - 1 do
+    let s = Order_builder.reach_mask b x
+    and r = Order_builder.reach_mask b (nmsgs + x)
+    and ps = Order_builder.pred_mask b x
+    and pr = Order_builder.pred_mask b (nmsgs + x) in
+    masks.(x) <- s land low;
+    masks.(nmsgs + x) <- s lsr nmsgs;
+    masks.((2 * nmsgs) + x) <- r land low;
+    masks.((3 * nmsgs) + x) <- r lsr nmsgs;
+    masks.((4 * nmsgs) + x) <- ps land low;
+    masks.((5 * nmsgs) + x) <- pr land low;
+    masks.((6 * nmsgs) + x) <- ps lsr nmsgs;
+    masks.((7 * nmsgs) + x) <- pr lsr nmsgs
   done;
   masks
 
@@ -146,8 +145,8 @@ let shared_attrs msgs =
   Run.attr_table
     (Array.map (fun (src, dst) -> Run.attrs_known ~src ~dst ()) msgs)
 
-(* The abstract fast path: de-interleave the builder's event-level reach
-   rows straight into Run.Abstract's packed msg×msg masks at each leaf —
+(* The abstract fast path: split the builder's event-level rows
+   straight into Run.Abstract's packed msg×msg masks at each leaf —
    no poset snapshot, no concrete Run.t, no per-run attrs. All runs of a
    configuration share one attrs array (the records are immutable). *)
 let fold_abstracts ~nprocs ~msgs ~init ~f =
@@ -408,29 +407,24 @@ let enum_sym ~nprocs ~msgs ~prune ~leaf =
       msgs
   in
   if valid then begin
-    let b = Order_builder.create (2 * nmsgs) in
-    for m = 0 to nmsgs - 1 do
-      Order_builder.add_edge_exn b
-        (Event.encode (Event.send m))
-        (Event.encode (Event.deliver m))
-    done;
+    let b = message_order ~nmsgs in
     let evs =
       Array.init nprocs (fun p -> Array.of_list (events_of ~nmsgs ~msgs p))
     in
     let nev = Array.map Array.length evs in
-    let enc = Array.map (Array.map Event.encode) evs in
+    let vtx = Array.map (Array.map (vertex ~nmsgs)) evs in
+    (* a vertex below [nmsgs] is a send, and its message *)
     let need =
       Array.init nprocs (fun p ->
           Array.init nev.(p) (fun j ->
-              let ej = enc.(p).(j) in
-              if ej land 1 = 1 then 0
+              let m = vtx.(p).(j) in
+              if m >= nmsgs then 0
               else begin
-                let m = ej lsr 1 in
                 let mask = ref 0 in
                 for j' = 0 to nev.(p) - 1 do
-                  let e' = enc.(p).(j') in
-                  if e' land 1 = 0 && e' lsr 1 < m && msgs.(e' lsr 1) = msgs.(m)
-                  then mask := !mask lor (1 lsl j')
+                  let m' = vtx.(p).(j') in
+                  if m' < m && msgs.(m') = msgs.(m) then
+                    mask := !mask lor (1 lsl j')
                 done;
                 !mask
               end))
@@ -474,7 +468,7 @@ let enum_sym ~nprocs ~msgs ~prune ~leaf =
         let u = used.(p) in
         for j = 0 to nev.(p) - 1 do
           if u land (1 lsl j) = 0 && need.(p).(j) land lnot u = 0 then begin
-            let e = enc.(p).(j) in
+            let e = vtx.(p).(j) in
             let m = Order_builder.mark b in
             let ok = prev < 0 || Order_builder.add_edge b prev e = `Ok in
             if ok then begin
@@ -511,7 +505,7 @@ let enum_sym ~nprocs ~msgs ~prune ~leaf =
         let u = used.(p) in
         for j = 0 to nev.(p) - 1 do
           if u land (1 lsl j) = 0 && need.(p).(j) land lnot u = 0 then begin
-            let e = enc.(p).(j) in
+            let e = vtx.(p).(j) in
             let m = Order_builder.mark b in
             let ok = prev < 0 || Order_builder.add_edge b prev e = `Ok in
             if ok then begin
@@ -547,16 +541,25 @@ let count_runs_sym ~nprocs ~msgs =
     ~leaf:(fun _ -> ());
   !n * sym_mult ~msgs
 
-let fold_abstracts_sym_par ~pool ?allow_self ~nprocs ~nmsgs ?prune ~init ~f
-    ~merge () =
-  (* shard by canonical-representative config (the quotiented enumeration
-     prefix); merge in representative order, so aggregates are
-     byte-identical at every job count *)
-  let cfgs = Array.of_list (configs_sym ?allow_self ~nprocs ~nmsgs ()) in
-  Mo_par.Pool.fold pool (Array.length cfgs)
+let fold_abstracts_sym_par ~pool ?allow_self ~sizes ?prune ~init ~f ~merge
+    () =
+  (* each size's orbit configurations are found over the pool, then one
+     fold shards the whole tier by (size, representative) — the
+     quotiented enumeration prefix — and merges in that order, so
+     aggregates are byte-identical at every job count and no size waits
+     for the one before it to drain *)
+  let sizes = Array.of_list sizes in
+  let orbits =
+    Mo_par.Pool.map pool ~chunk:1 (Array.length sizes) ~f:(fun i ->
+        let nprocs, nmsgs = sizes.(i) in
+        List.map
+          (fun (msgs, cmult) -> (nprocs, msgs, cmult * sym_mult ~msgs))
+          (configs_sym ?allow_self ~nprocs ~nmsgs ()))
+  in
+  let shards = Array.of_list (List.concat (Array.to_list orbits)) in
+  Mo_par.Pool.fold pool (Array.length shards)
     ~f:(fun i ->
-      let msgs, cmult = cfgs.(i) in
-      let mult = cmult * sym_mult ~msgs in
+      let nprocs, msgs, mult = shards.(i) in
       let prune =
         Option.map
           (fun (decided, on_pruned) ->

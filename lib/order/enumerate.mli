@@ -166,8 +166,7 @@ val fold_abstracts_sym :
 val fold_abstracts_sym_par :
   pool:Mo_par.Pool.t ->
   ?allow_self:bool ->
-  nprocs:int ->
-  nmsgs:int ->
+  sizes:(int * int) list ->
   ?prune:
     ((Run.Abstract.t -> bool)
     * ('acc -> mult:int -> runs:int -> Run.Abstract.t -> 'acc)) ->
@@ -176,10 +175,12 @@ val fold_abstracts_sym_par :
   merge:('acc -> 'acc -> 'acc) ->
   unit ->
   'acc
-(** Parallel quotiented fold over the whole universe, sharded by
-    {!configs_sym} representative (the quotiented enumeration prefix)
-    and merged in representative order — byte-identical at every job
-    count. Each canonical leaf or pruned subtree arrives with
-    [mult = config orbit size × sym_mult]: its verdict stands for
-    exactly [mult] (resp. [mult × runs]) concrete runs of the
-    unquotiented universe. *)
+(** Parallel quotiented fold over the whole universe of every
+    [(nprocs, nmsgs)] in [sizes]. Each size's {!configs_sym} runs over
+    the pool; then one fold, sharded by (size, representative) — the
+    quotiented enumeration prefix — merges in that order, so the result
+    is [fold_left merge init] over the shards' accumulators and
+    byte-identical at every job count. Each canonical leaf or pruned
+    subtree arrives with [mult = config orbit size × sym_mult]: its
+    verdict stands for exactly [mult] (resp. [mult × runs]) concrete
+    runs of the unquotiented universe. *)

@@ -277,6 +277,10 @@ module Wide = struct
     nprocs : int;
     rel : Bitset.t array; (* 8 * window rows, Run.Abstract section order *)
     slot_id : int array;
+    ids : int array;
+        (* the live slots by message id: open addressing over a
+           power-of-two table at least twice the window, each entry a
+           slot + 1 (0 is empty), probed linearly from [home] *)
     slot_src : int array;
     slot_dst : int array;
     slot_color : int array;
@@ -305,6 +309,12 @@ module Wide = struct
       nprocs;
       rel = Array.init (8 * window) (fun _ -> bs ());
       slot_id = Array.make window (-1);
+      ids =
+        (let n = ref 1 in
+         while !n < 2 * window do
+           n := 2 * !n
+         done;
+         Array.make !n 0);
       slot_src = Array.make window (-1);
       slot_dst = Array.make window (-1);
       slot_color = Array.make window (-1);
@@ -340,16 +350,48 @@ module Wide = struct
 
   let slot_delivered t j = Bitset.mem t.delivered j
 
-  (* the live slot holding [msg], or -1, as the packed scan *)
+  (* where the probe for [msg] starts: a multiplicative hash, so
+     consecutive ids spread over the table *)
+  let home t msg =
+    ((msg * 0x2545F4914F6CDD1D) lsr 20) land (Array.length t.ids - 1)
+
+  let rec probe t msg i =
+    let e = t.ids.(i) in
+    if e = 0 then -1
+    else if t.slot_id.(e - 1) = msg then i
+    else probe t msg ((i + 1) land (Array.length t.ids - 1))
+
+  (* the live slot holding [msg], or -1 *)
   let find t msg =
-    let j = ref (-1) and k = ref 0 in
-    while !j < 0 && !k < t.window do
-      if t.slot_id.(!k) = msg && Bitset.mem t.live !k then j := !k;
-      incr k
-    done;
-    !j
+    let i = probe t msg (home t msg) in
+    if i < 0 then -1 else t.ids.(i) - 1
+
+  let rec first_free t i =
+    if t.ids.(i) = 0 then i
+    else first_free t ((i + 1) land (Array.length t.ids - 1))
+
+  (* live slot [k] leaves the table; the entries after it in its run
+     move back into the hole when their probe passed it, so a probe
+     still stops only at a miss *)
+  let rec close_gap t hole i =
+    let mask = Array.length t.ids - 1 in
+    let e = t.ids.(i) in
+    if e <> 0 then
+      if (i - home t t.slot_id.(e - 1)) land mask >= (i - hole) land mask
+      then begin
+        t.ids.(hole) <- e;
+        t.ids.(i) <- 0;
+        close_gap t i ((i + 1) land mask)
+      end
+      else close_gap t hole ((i + 1) land mask)
+
+  let unindex t k =
+    let i = probe t t.slot_id.(k) (home t t.slot_id.(k)) in
+    t.ids.(i) <- 0;
+    close_gap t i ((i + 1) land (Array.length t.ids - 1))
 
   let retire t k =
+    unindex t k;
     for i = 0 to (8 * t.window) - 1 do
       Bitset.remove t.rel.(i) k
     done;
@@ -404,6 +446,7 @@ module Wide = struct
     let j = alloc t in
     let w = t.window and m = t.rel in
     t.slot_id.(j) <- msg;
+    t.ids.(first_free t (home t msg)) <- j + 1;
     t.slot_src.(j) <- src;
     t.slot_dst.(j) <- dst;
     t.slot_color.(j) <- color;
@@ -487,7 +530,8 @@ module Wide = struct
     (* a Bitset of capacity w is ~ceil(w/8) bytes plus a boxed header *)
     let bs = ((t.window + 7) / 8) + (2 * word) in
     (* the published figure, which B15 pins: it counts two scratch sets
-       but not [empty] or tmp_c..tmp_e *)
+       but not [empty] or tmp_c..tmp_e, and the packed path's allowance
+       stands in for the retire ring and the id table *)
     let sets =
       (8 * t.window) (* rel *) + (2 * t.window) (* sp_s, sp_r *)
       + (3 * t.nprocs) (* past_s, past_r, pend_to *)

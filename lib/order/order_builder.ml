@@ -2,7 +2,8 @@
 
    The enumeration kernel pushes one edge per chosen event and pops it on
    backtrack, so reachability rows are kept as unboxed int masks (the
-   universe of a run with m messages has 2m ≤ 62 vertices) and every row
+   universe of a run with m messages has 2m ≤ 62 vertices), each vertex
+   with its successor row and its predecessor row, and every row
    mutation is logged as a (row, previous mask) pair. Undo restores the log
    suffix in reverse, which is correct even when one row is touched by
    several pushes: the oldest logged value for the mark's suffix wins. *)
@@ -11,7 +12,9 @@ type mark = { m_log : int; m_edges : (int * int) list }
 
 type t = {
   n : int;
-  reach : int array; (* reach.(h) has bit g set iff h ▷ g, strict *)
+  rows : int array;
+      (* rows.(h) has bit g set iff h ▷ g, strict; rows.(n + g), g's
+         predecessor row, has bit h set iff h ▷ g *)
   mutable edges : (int * int) list; (* generating edges, newest first *)
   mutable log_rows : int array;
   mutable log_vals : int array;
@@ -27,7 +30,7 @@ let create n =
       (Printf.sprintf "Order_builder.create: size %d exceeds %d" n max_size);
   {
     n;
-    reach = Array.make n 0;
+    rows = Array.make (2 * n) 0;
     edges = [];
     log_rows = Array.make 16 0;
     log_vals = Array.make 16 0;
@@ -43,7 +46,7 @@ let check t v =
 let lt t h g =
   check t h;
   check t g;
-  t.reach.(h) land (1 lsl g) <> 0
+  t.rows.(h) land (1 lsl g) <> 0
 
 let mark t = { m_log = t.log_len; m_edges = t.edges }
 
@@ -57,31 +60,35 @@ let log_row t row =
     t.log_vals <- vals
   end;
   t.log_rows.(t.log_len) <- row;
-  t.log_vals.(t.log_len) <- t.reach.(row);
+  t.log_vals.(t.log_len) <- t.rows.(row);
   t.log_len <- t.log_len + 1
+
+(* row [base + w] gains [bits], for every member [w] of [set] *)
+let rec widen t base set bits =
+  if set <> 0 then begin
+    let w = base + Bitset.lowest_bit set in
+    let old = t.rows.(w) in
+    if old lor bits <> old then begin
+      log_row t w;
+      t.rows.(w) <- old lor bits
+    end;
+    widen t base (set land (set - 1)) bits
+  end
 
 let add_edge t h g =
   check t h;
   check t g;
-  if h = g || t.reach.(g) land (1 lsl h) <> 0 then `Cycle
-  else if t.reach.(h) land (1 lsl g) <> 0 then
+  if h = g || t.rows.(g) land (1 lsl h) <> 0 then `Cycle
+  else if t.rows.(h) land (1 lsl g) <> 0 then
     (* already implied: nothing to close over, nothing to undo *)
     `Ok
   else begin
-    (* every row that can reach h (plus h itself) now also reaches g and
-       everything g reaches; g's own row is untouched because g ▷̸ h *)
-    let gained = (1 lsl g) lor t.reach.(g) in
-    let h_bit = 1 lsl h in
-    for w = 0 to t.n - 1 do
-      if w = h || t.reach.(w) land h_bit <> 0 then begin
-        let old = t.reach.(w) in
-        let updated = old lor gained in
-        if updated <> old then begin
-          log_row t w;
-          t.reach.(w) <- updated
-        end
-      end
-    done;
+    (* h and every vertex below it now reach g and everything above g,
+       and g's side gains h's side as predecessors *)
+    let above = (1 lsl g) lor t.rows.(g)
+    and below = (1 lsl h) lor t.rows.(t.n + h) in
+    widen t 0 below above;
+    widen t t.n above below;
     t.edges <- (h, g) :: t.edges;
     `Ok
   end
@@ -95,25 +102,32 @@ let undo t m =
   if m.m_log > t.log_len then
     invalid_arg "Order_builder.undo: stale mark";
   for i = t.log_len - 1 downto m.m_log do
-    t.reach.(t.log_rows.(i)) <- t.log_vals.(i)
+    t.rows.(t.log_rows.(i)) <- t.log_vals.(i)
   done;
   t.log_len <- m.m_log;
   t.edges <- m.m_edges
 
-let snapshot t =
+let snapshot ?relabel t =
+  let label = match relabel with Some l -> l | None -> Array.init t.n Fun.id in
+  if Array.length label <> t.n then
+    invalid_arg "Order_builder.snapshot: relabel length mismatch";
   let succ = Array.make t.n [] in
-  List.iter (fun (h, g) -> succ.(h) <- g :: succ.(h)) t.edges;
-  let reach =
-    Array.init t.n (fun h ->
-        let row = Bitset.create t.n in
-        let bits = t.reach.(h) in
-        for g = 0 to t.n - 1 do
-          if bits land (1 lsl g) <> 0 then Bitset.add row g
-        done;
-        row)
-  in
+  List.iter
+    (fun (h, g) -> succ.(label.(h)) <- label.(g) :: succ.(label.(h)))
+    t.edges;
+  let reach = Array.init t.n (fun _ -> Bitset.create t.n) in
+  for h = 0 to t.n - 1 do
+    let bits = t.rows.(h) in
+    for g = 0 to t.n - 1 do
+      if bits land (1 lsl g) <> 0 then Bitset.add reach.(label.(h)) label.(g)
+    done
+  done;
   Poset.of_closure_unchecked ~n:t.n ~succ ~reach
 
 let reach_mask t h =
   check t h;
-  t.reach.(h)
+  t.rows.(h)
+
+let pred_mask t g =
+  check t g;
+  t.rows.(t.n + g)

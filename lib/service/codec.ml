@@ -392,7 +392,10 @@ let default_max_frame = 1 lsl 20
 
 (* ---- replies and the frame writer ------------------------------- *)
 
-type reply = Json of J.t | Payload of int * string
+type reply =
+  | Json of J.t
+  | Payload of int * string
+  | Responses of int * reply list
 
 (* [{"id":], the id, [,"ok":true,"result":], the text and [}]: the
    bytes of [ok_response ~id] around a payload already printed *)
@@ -400,11 +403,24 @@ let ok_head = "{\"id\":"
 
 let ok_mid = ",\"ok\":true,\"result\":"
 
-let payload_size = function
+(* [{"responses":[], the members' texts between commas, and []}]: the
+   bytes of the batch result tree around replies already printed *)
+let responses_head = "{\"responses\":["
+
+let rec payload_size = function
   | Json j -> J.compact_size j
-  | Payload (id, text) ->
-      String.length ok_head + J.int_size id + String.length ok_mid
-      + String.length text + 1
+  | Payload (id, text) -> ok_size id + String.length text
+  | Responses (id, members) ->
+      List.fold_left
+        (fun acc r -> acc + payload_size r)
+        (ok_size id + String.length responses_head
+        + max 0 (List.length members - 1)
+        + 2)
+        members
+
+(* the [ok] response's bytes around its result *)
+and ok_size id =
+  String.length ok_head + J.int_size id + String.length ok_mid + 1
 
 let frame_size n = J.int_size n + n + 2
 
@@ -412,14 +428,29 @@ let put b pos s =
   Bytes.blit_string s 0 b pos (String.length s);
   pos + String.length s
 
-(* the JSON text of [reply] at [pos] *)
-let blit_reply b pos = function
+(* the JSON text of [reply] at [pos]; a batch's members are printed in
+   place, between its head and tail *)
+let rec blit_reply b pos = function
   | Json j -> J.blit b pos j
   | Payload (id, text) ->
       let pos = J.blit_int b (put b pos ok_head) id in
       let pos = put b (put b pos ok_mid) text in
       Bytes.set b pos '}';
       pos + 1
+  | Responses (id, members) ->
+      let pos = J.blit_int b (put b pos ok_head) id in
+      let pos = put b (put b pos ok_mid) responses_head in
+      let pos =
+        match members with
+        | [] -> pos
+        | r :: rest ->
+            List.fold_left
+              (fun pos r ->
+                Bytes.set b pos ',';
+                blit_reply b (pos + 1) r)
+              (blit_reply b pos r) rest
+      in
+      put b pos "]}}"
 
 (* the frame of [reply], whose payload is [n] bytes, at [pos] *)
 let blit_frame b pos reply n =
@@ -429,36 +460,15 @@ let blit_frame b pos reply n =
   Bytes.set b pos '\n';
   pos + 1
 
-(* [{"responses":[], the members' texts between commas, and []}]: the
-   bytes of the batch result tree around replies already printed *)
-let responses_head = "{\"responses\":["
-
-let batch_result replies =
-  let n =
-    List.fold_left
-      (fun acc r -> acc + payload_size r)
-      (String.length responses_head + max 0 (List.length replies - 1) + 2)
-      replies
-  in
-  let b = Bytes.create n in
-  let pos = ref (put b 0 responses_head) in
-  List.iteri
-    (fun i r ->
-      if i > 0 then begin
-        Bytes.set b !pos ',';
-        incr pos
-      end;
-      pos := blit_reply b !pos r)
-    replies;
-  ignore (put b !pos "]}");
-  Bytes.unsafe_to_string b
-
-let json_of_reply = function
+let rec json_of_reply = function
   | Json j -> j
   | Payload (id, text) -> (
       match J.of_string text with
       | Ok payload -> ok_response ~id payload
       | Error e -> invalid_arg ("Codec.json_of_reply: " ^ e))
+  | Responses (id, members) ->
+      ok_response ~id
+        (J.Obj [ ("responses", J.List (List.map json_of_reply members)) ])
 
 type writer = { mutable out : Bytes.t; mutable len : int }
 

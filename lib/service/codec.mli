@@ -143,12 +143,13 @@ val default_max_frame : int
 
 (** {2 Replies and the frame writer}
 
-    A reply is either a JSON tree ([Json]: errors, [stats] and
-    [shutdown]) or an [ok] response around a result already printed
-    ([Payload (id, text)]: every computed result, every cache hit and
-    every batch). Both go out through one frame writer, which prints
-    straight into bytes it has sized first: no frame is rendered to a
-    scratch buffer and copied.
+    A reply is a JSON tree ([Json]: errors, [stats] and [shutdown]), an
+    [ok] response around a result already printed ([Payload (id,
+    text)]: every computed result and every cache hit), or a batch's
+    [ok] response around its members' replies ([Responses (id,
+    members)]). All go out through one frame writer, which prints straight into
+    bytes it has sized first: no frame, and no batch result, is
+    rendered to a scratch buffer and copied.
 
     The splice contract: the frame of [Payload (id, text)] is
     [<len>\n{"id":<id>,"ok":true,"result":<text>}\n] with
@@ -156,16 +157,16 @@ val default_max_frame : int
     text + 1], the id printed by {!Mo_obs.Jsonb.blit_int}. When [text]
     is [Jsonb.to_string payload], these are exactly the bytes of
     [encode_frame (ok_response ~id payload)], negative ids and
-    [min_int] included. *)
-
-type reply = Json of Mo_obs.Jsonb.t | Payload of int * string
-
-val batch_result : reply list -> string
-(** [{"responses":[<r1>,<r2>,...]}], each member printed as the JSON
-    text of its reply (the body of its frame): the result text of a
-    batch, spliced from its members' replies. It equals
+    [min_int] included. [Responses (id, members)] is framed as a
+    [Payload] whose text is [{"responses":[<r1>,<r2>,...]}], each member printed
+    as the JSON text of its reply (the body of its frame); that equals
     [Jsonb.to_string (Obj [("responses", List (List.map json_of_reply
-    replies))])] whenever each member's text re-prints as itself. *)
+    members))])] whenever each member's text re-prints as itself. *)
+
+type reply =
+  | Json of Mo_obs.Jsonb.t
+  | Payload of int * string
+  | Responses of int * reply list
 
 val json_of_reply : reply -> Mo_obs.Jsonb.t
 (** The reply as a tree; a [Payload]'s text is parsed back, which is

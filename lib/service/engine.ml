@@ -254,9 +254,7 @@ let rec admit t ~received ~in_batch (env : Codec.envelope) =
           let members =
             Array.of_list (List.map (admit t ~received ~in_batch:true) envs)
           in
-          Done
-            (Codec.Payload
-               (id, Codec.batch_result (Array.to_list (resolve t members))))
+          Done (Codec.Responses (id, Array.to_list (resolve t members)))
       | req -> (
           match computable req with
           | None -> Done (error t ~id "unsupported request")

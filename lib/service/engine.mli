@@ -16,9 +16,9 @@
     One reply path: the cache holds wire text. A miss prints its payload
     once ({!Mo_obs.Jsonb.to_string}, on the pool domain that computed
     it), caches that text and replies with it; a hit replies with the
-    cached text as it is ([Codec.Payload]); a batch's result is spliced
-    from its members' reply texts ({!Codec.batch_result}); snapshots
-    carry the text. The engine never parses text it printed itself.
+    cached text as it is ([Codec.Payload]); a batch replies with its
+    members' replies, spliced into its frame ([Codec.Responses]);
+    snapshots carry the text. The engine never parses text it printed itself.
 
     Batches and pipelined groups: members are admitted (deadline check,
     cache lookup) in order on the caller's domain; the payloads of the
@@ -67,9 +67,9 @@ val serve_reply : t -> ?received:float -> Codec.envelope -> Codec.reply * bool
 (** The reply to one request (an [ok]/[error] response echoing the
     request id), plus whether the envelope was an {e admitted} top-level
     [Shutdown] (deadline-expired shutdowns report [false]) — the flag
-    the server's accept loop stops on. A cache hit, a fresh result and a
-    batch are a [Payload] carrying text; errors, [stats] and [shutdown]
-    are [Json] trees.
+    the server's accept loop stops on. A cache hit and a fresh result
+    are a [Payload] carrying text, a batch is [Responses], its members'
+    replies; errors, [stats] and [shutdown] are [Json] trees.
 
     [received] is the request's arrival time on the engine clock
     (default: [clock ()] at entry — the server passes the moment the

@@ -281,6 +281,104 @@ let test_eval_differential =
     ~pp:(fun (p, _) -> Forbidden.to_string p)
     agree_on_pred
 
+(* ---- the two-variable pair loop ---------------------------------- *)
+
+(* Two-variable predicates, the shape Eval runs as one flat pair loop:
+   one to three conjuncts, about one in four a self-conjunct, and up to
+   two Same_src/Same_dst/Color_is guards (a guard may name one variable
+   twice). *)
+let gen_pair_pred rng =
+  let endpoint v =
+    if Random.State.bool rng then Term.s v else Term.r v
+  in
+  let conjunct _ =
+    let b = Prop.int_range 0 1 rng in
+    let a = if Prop.int_range 0 3 rng = 0 then b else 1 - b in
+    Term.(endpoint b @> endpoint a)
+  in
+  let guard rng =
+    let v () = Prop.int_range 0 1 rng in
+    match Prop.int_range 0 2 rng with
+    | 0 -> Term.Same_src (v (), v ())
+    | 1 -> Term.Same_dst (v (), v ())
+    | _ -> Term.Color_is (v (), Prop.int_range 0 2 rng)
+  in
+  Forbidden.make ~nvars:2
+    ~guards:(Prop.list_of ~max:2 guard rng)
+    (List.init (Prop.int_range 1 3 rng) conjunct)
+
+(* The oracle: every pair of live messages in the fast plan's variable
+   order — the variable in more conjuncts first, variable 1 on a tie —
+   each variable's messages ascending, checked by the reference
+   conjunct and guard semantics. The first pair that holds is the match
+   the pair loop must stop at. *)
+let pair_oracle ~distinct ~live p r =
+  let degree v =
+    List.length
+      (List.filter
+         (fun (c : Term.conjunct) -> c.before.var = v || c.after.var = v)
+         (Forbidden.conjuncts p))
+  in
+  let first = if degree 0 > degree 1 then 0 else 1 in
+  let n = Run.Abstract.nmsgs r in
+  let found = ref None in
+  for x = 0 to n - 1 do
+    for y = 0 to n - 1 do
+      if
+        !found = None
+        && live land (1 lsl x) <> 0
+        && live land (1 lsl y) <> 0
+        && ((not distinct) || x <> y)
+      then begin
+        let a = Array.make 2 0 in
+        a.(first) <- x;
+        a.(1 - first) <- y;
+        if Eval.check_assignment p r a then found := Some a
+      end
+    done
+  done;
+  !found
+
+(* [holds_c] over the whole run, and [Masked.find] over the whole run
+   and over every frontier with one slot free, against the oracle *)
+let pair_agrees (p, runs) =
+  let c = Eval.compile p in
+  List.for_all
+    (fun r ->
+      match Run.Abstract.masks r with
+      | None -> false
+      | Some masks ->
+          let n = Run.Abstract.nmsgs r in
+          let all = (1 lsl n) - 1 in
+          let col f =
+            Array.init n (fun i ->
+                Option.value (f (Run.Abstract.attrs r i)) ~default:(-1))
+          in
+          let src = col (fun a -> a.Run.src)
+          and dst = col (fun a -> a.Run.dst)
+          and color = col (fun a -> a.Run.color) in
+          List.for_all
+            (fun distinct ->
+              let u = Eval.Masked.make ~distinct c in
+              let want = pair_oracle ~distinct ~live:all p r in
+              Eval.holds_c ~distinct c r = Option.is_some want
+              && Eval.Masked.find u ~n ~live:all ~masks ~src ~dst ~color
+                 = want
+              && List.for_all
+                   (fun k ->
+                     let live = all land lnot (1 lsl k) in
+                     Eval.Masked.find u ~n ~live ~masks ~src ~dst ~color
+                     = pair_oracle ~distinct ~live p r)
+                   (List.init n Fun.id))
+            [ true; false ])
+    (List.concat_map with_twins runs)
+
+let test_pair_loop =
+  Prop.test ~count:300 ~seed:7 ~name:"pair loop = first-match oracle"
+    (Prop.pair gen_pair_pred sample_runs)
+    ~pp:(fun (p, _) -> Forbidden.to_string p)
+    pair_agrees
+
 (* ---- the > 62-message fallback ----------------------------------- *)
 
 let big_n = 70
@@ -435,6 +533,8 @@ let () =
             test_eval_differential;
           Alcotest.test_case "bitset fallback beyond 62 msgs" `Quick
             test_big_runs;
+          Alcotest.test_case "two-variable pair loop, first match" `Quick
+            test_pair_loop;
         ] );
       ( "modelcheck",
         [ Alcotest.test_case "B12-tier counts pinned" `Slow test_verify_counts ] );

@@ -984,7 +984,9 @@ let batch_bytes_ok t twin ~id members =
          ])
   in
   (not stop)
-  && (match reply with Codec.Payload _ -> true | Codec.Json _ -> false)
+  && (match reply with
+     | Codec.Responses _ -> true
+     | Codec.Payload _ | Codec.Json _ -> false)
   && flushed (Codec.writer ()) [ reply ] = Codec.encode_frame want
 
 let test_batch_bytes () =
