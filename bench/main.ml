@@ -5,10 +5,40 @@
    `--lat-only` to run a slice.
    `--jobs 1,2,4` sets the B12 sweep points; `--deep` extends its
    universe workload to 4 processes / 4 messages; `--soak` grows the
-   B15 monitor stream to a million keys. *)
+   B15 monitor stream to a million keys. Any other argument is an error
+   (exit 2, with a usage line); `--help` prints the usage. *)
+
+let usage =
+  "usage: main.exe [--repro-only | --perf-only | --par-only | --mon-only | \
+   --lat-only] [--jobs N,N,...] [--deep] [--soak]"
+
+let flags =
+  [
+    "--repro-only"; "--perf-only"; "--par-only"; "--mon-only"; "--lat-only";
+    "--deep"; "--soak";
+  ]
+
+(* the flags given and the --jobs value, if any; anything else prints
+   the usage and exits, 0 for --help and 2 otherwise *)
+let parse argv =
+  let rec go set jobs = function
+    | [] -> (set, jobs)
+    | "--help" :: _ ->
+        print_endline usage;
+        exit 0
+    | "--jobs" :: v :: rest -> go set (Some v) rest
+    | f :: rest when List.mem f flags -> go (f :: set) jobs rest
+    | a :: _ ->
+        prerr_endline
+          (if a = "--jobs" then "bench: --jobs expects a value"
+           else "bench: unknown argument " ^ a);
+        prerr_endline usage;
+        exit 2
+  in
+  go [] None (List.tl (Array.to_list argv))
 
 let () =
-  let args = Array.to_list Sys.argv in
+  let args, jobs = parse Sys.argv in
   let mon_only = List.mem "--mon-only" args in
   let lat_only = List.mem "--lat-only" args in
   let solo = mon_only || lat_only in
@@ -22,12 +52,7 @@ let () =
   in
   let deep = List.mem "--deep" args in
   let jobs_list =
-    let rec find = function
-      | "--jobs" :: v :: _ -> Some v
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    match find args with
+    match jobs with
     | None -> [ 1; 2; 4 ]
     | Some v -> (
         match

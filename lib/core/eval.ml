@@ -118,6 +118,12 @@ let satisfies_ref ?distinct p run = not (holds_ref ?distinct p run)
 (*   conjunct links to already-ordered variables, then highest        *)
 (*   degree). Used for the boolean queries, where only existence      *)
 (*   matters and tighter early stages prune best.                     *)
+(*                                                                    *)
+(* Each variable [v] also has a rooted plan: [v] first, then the      *)
+(* [fast] order without [v]. A search rooted at [v] whose first stage *)
+(* is narrowed to a few slots finds exactly the matches that put [v]  *)
+(* on one of them; the streaming monitor asks this of the slots each  *)
+(* event touched (see Masked.touches).                                *)
 (* ------------------------------------------------------------------ *)
 
 (* the section of Run.Abstract.masks for [x.b ▷ y.a]: its row x holds
@@ -144,6 +150,11 @@ type compiled = {
   m : int;
   lex : cstage array;
   fast : cstage array;
+  roots : cstage array array;
+      (* per variable v: v, then the [fast] order without v. The plan
+         rooted at fast's first variable is [fast] itself. Built eagerly:
+         a compiled plan is shared across domains, and a [Lazy] forced
+         from two at once raises. *)
 }
 
 let build_stages p order =
@@ -227,12 +238,20 @@ let constrained_order p =
 
 let compile p =
   let m = Forbidden.nvars p in
-  let identity = Array.init m Fun.id in
+  let order = constrained_order p in
+  let fast = build_stages p order in
+  let rooted v =
+    if v = order.(0) then fast
+    else
+      build_stages p
+        (Array.of_list (v :: List.filter (( <> ) v) (Array.to_list order)))
+  in
   {
     pred = p;
     m;
-    lex = build_stages p identity;
-    fast = build_stages p (constrained_order p);
+    lex = build_stages p (Array.init m Fun.id);
+    fast;
+    roots = Array.init m rooted;
   }
 
 let predicate c = c.pred
@@ -281,12 +300,15 @@ let rec diag_rows masks stride c (diag : int array) j =
    [true] to keep searching; the result is [true] once it has stopped
    the search. Nothing here allocates: this is the per-event hot path of
    [Pmon.check] (B15 holds it to >= 1M events/sec) and the per-leaf one
-   of the quotiented model check. *)
-let rec stage p plan ~distinct ~emit i used =
+   of the quotiented model check. [root] narrows the first stage's
+   candidates only; [-1] keeps them all. *)
+let rec stage p plan ~distinct ~emit ~root i used =
   if i = Array.length plan then not (emit p.assignment)
   else begin
     let st = plan.(i) in
-    let cand = ref (if distinct then p.live land lnot used else p.live) in
+    let cand =
+      ref ((if distinct then p.live land lnot used else p.live) land root)
+    in
     for r = 0 to Array.length st.bound - 1 do
       cand :=
         !cand
@@ -303,7 +325,7 @@ and candidates p plan ~distinct ~emit i used st cand =
   (diag_rows p.masks p.stride c st.diag 0
   && guards_ok ~srcs:p.srcs ~dsts:p.dsts ~colors:p.colors p.assignment
        st.sguards 0
-  && stage p plan ~distinct ~emit (i + 1)
+  && stage p plan ~distinct ~emit ~root:(-1) (i + 1)
        (if distinct then used lor (1 lsl c) else used))
   || candidates p plan ~distinct ~emit i used st (cand land (cand - 1))
 
@@ -331,11 +353,12 @@ let rec pair_guards ~srcs ~dsts ~colors v0 x y (gs : Term.guard array) j =
    so the first match is the one [stage] stops at. It is returned as
    [x lsl 6 lor y] (both below 62), or -1 for none: with no assignment,
    no emit callback and no recursion per stage, a run query allocates
-   nothing, and this is the quotiented walk's per-leaf evaluation. *)
-let pair plan ~distinct ~masks ~stride ~live ~srcs ~dsts ~colors =
+   nothing, and this is the quotiented walk's per-leaf evaluation.
+   [root] narrows the first variable's candidates, as in [stage]. *)
+let pair plan ~distinct ~root ~masks ~stride ~live ~srcs ~dsts ~colors =
   let s0 = plan.(0) and s1 = plan.(1) in
   let v0 = s0.var in
-  let c0 = ref live and hit = ref (-1) in
+  let c0 = ref (live land root) and hit = ref (-1) in
   while !hit < 0 && !c0 <> 0 do
     let x = Bitset.lowest_bit !c0 in
     if
@@ -362,10 +385,10 @@ let pair plan ~distinct ~masks ~stride ~live ~srcs ~dsts ~colors =
 (* Is there a match? The pair loop for two variables, else the staged
    search stopped at its first match; either way the match is left in
    the assignment. *)
-let exists p plan ~distinct =
+let exists p plan ~distinct ~root =
   if Array.length plan = 2 then begin
     let hit =
-      pair plan ~distinct ~masks:p.masks ~stride:p.stride ~live:p.live
+      pair plan ~distinct ~root ~masks:p.masks ~stride:p.stride ~live:p.live
         ~srcs:p.srcs ~dsts:p.dsts ~colors:p.colors
     in
     if hit >= 0 then begin
@@ -374,7 +397,14 @@ let exists p plan ~distinct =
     end;
     hit >= 0
   end
-  else stage p plan ~distinct ~emit:stop 0 0
+  else stage p plan ~distinct ~emit:stop ~root 0 0
+
+(* is there a match with some variable on a slot of [root]? One rooted
+   search per variable, the first stage narrowed to [root] *)
+let rec exists_rooted p roots ~distinct ~root v =
+  v < Array.length roots
+  && (exists p roots.(v) ~distinct ~root
+     || exists_rooted p roots ~distinct ~root (v + 1))
 
 (* What one wide search reads: the Bitset rows ([n] per section, [n]
    the capacity of [wlive]), the live messages, the attribute columns
@@ -413,13 +443,15 @@ let rec diag_wide w c (diag : int array) j =
 (* The same staged search over Bitset rows, for runs too large for
    packed masks and wide monitor windows. Candidates are walked in
    ascending order by {!Bitset.next}, and the scratch is the record's,
-   so a search allocates nothing. *)
-let rec wide_stage w plan ~distinct ~emit i =
+   so a search allocates nothing. The first stage's candidates are
+   narrowed to [root]; [root] = [wlive] keeps them all. *)
+let rec wide_stage w plan ~distinct ~emit ~root i =
   if i = Array.length plan then not (emit w.wassignment)
   else begin
     let st = plan.(i) and n = Bitset.capacity w.wlive in
     let cand = w.wcands.(i) in
     Bitset.copy_into ~dst:cand w.wlive;
+    if i = 0 then Bitset.inter_into ~dst:cand root;
     if distinct then Bitset.diff_into ~dst:cand w.wused;
     for r = 0 to Array.length st.bound - 1 do
       Bitset.inter_into ~dst:cand
@@ -437,13 +469,20 @@ and wide_candidates w plan ~distinct ~emit i st c =
             w.wassignment st.sguards 0
        && begin
             if distinct then Bitset.add w.wused c;
-            let stopped = wide_stage w plan ~distinct ~emit (i + 1) in
+            let stopped =
+              wide_stage w plan ~distinct ~emit ~root:w.wlive (i + 1)
+            in
             if distinct then Bitset.remove w.wused c;
             stopped
           end)
        || wide_candidates w plan ~distinct ~emit i st
             (Bitset.next w.wcands.(i) (c + 1))
      end
+
+let rec exists_rooted_wide w roots ~distinct ~root v =
+  v < Array.length roots
+  && (wide_stage w roots.(v) ~distinct ~emit:stop ~root 0
+     || exists_rooted_wide w roots ~distinct ~root (v + 1))
 
 (* One run: its own packed rows when it has them, else its Bitset view.
    With no [emit] the query only asks whether a match exists. *)
@@ -454,8 +493,8 @@ let run_plan plan ~distinct run emit =
     let t = Run.Abstract.attr_table run in
     match (Run.Abstract.masks run, emit) with
     | Some masks, None when m = 2 ->
-        pair plan ~distinct ~masks ~stride:n ~live:((1 lsl n) - 1)
-          ~srcs:t.srcs ~dsts:t.dsts ~colors:t.colors
+        pair plan ~distinct ~root:(-1) ~masks ~stride:n
+          ~live:((1 lsl n) - 1) ~srcs:t.srcs ~dsts:t.dsts ~colors:t.colors
         >= 0
     | Some masks, _ ->
         stage
@@ -470,7 +509,7 @@ let run_plan plan ~distinct run emit =
           }
           plan ~distinct
           ~emit:(Option.value emit ~default:stop)
-          0 0
+          ~root:(-1) 0 0
     | None, _ ->
         let (r : Run.Abstract.relations) = Run.Abstract.relations run in
         let rel =
@@ -485,7 +524,7 @@ let run_plan plan ~distinct run emit =
         w.wcolors <- t.colors;
         wide_stage w plan ~distinct
           ~emit:(Option.value emit ~default:stop)
-          0
+          ~root:w.wlive 0
 
 let search_compiled ?(distinct = true) ?(limit = max_int) c run =
   let results = ref [] in
@@ -556,7 +595,7 @@ module Masked = struct
   (* the monitor's frontier ({!Mo_order.Monitor}) is matched in place,
      between events: rebinding the matcher's search state writes fields,
      it allocates nothing *)
-  let holds u ~n ~live ~masks ~src ~dst ~color =
+  let bind u ~n ~live ~masks ~src ~dst ~color =
     let p = u.p in
     p.masks <- masks;
     p.stride <- n;
@@ -564,17 +603,30 @@ module Masked = struct
     p.srcs <- src;
     p.dsts <- dst;
     p.colors <- color;
-    exists p u.c.fast ~distinct:u.distinct
+    p
 
-  (* a stopped search leaves its match in the assignment *)
+  let holds u ~n ~live ~masks ~src ~dst ~color =
+    exists
+      (bind u ~n ~live ~masks ~src ~dst ~color)
+      u.c.fast ~distinct:u.distinct ~root:(-1)
+
+  (* the empty predicate has no rooted plan and matches everywhere *)
+  let touches u ~n ~live ~masks ~src ~dst ~color ~touched =
+    u.c.m = 0
+    || exists_rooted
+         (bind u ~n ~live ~masks ~src ~dst ~color)
+         u.c.roots ~distinct:u.distinct ~root:touched 0
+
+  (* a stopped search leaves its match in the assignment, whose length
+     is [max m 1] *)
+  let found u = Array.sub u.p.assignment 0 u.c.m
+
   let find u ~n ~live ~masks ~src ~dst ~color =
-    if holds u ~n ~live ~masks ~src ~dst ~color then
-      Some (Array.copy u.p.assignment)
-    else None
+    if holds u ~n ~live ~masks ~src ~dst ~color then Some (found u) else None
 
   (* the wide twin: its scratch is built again only when the window
      changes *)
-  let holds_wide u ~n ~live ~rel ~src ~dst ~color =
+  let bind_wide u ~n ~live ~rel ~src ~dst ~color =
     let w =
       match u.w with
       | Some w when Bitset.capacity w.wlive = n -> w
@@ -590,10 +642,19 @@ module Masked = struct
     w.wsrcs <- src;
     w.wdsts <- dst;
     w.wcolors <- color;
-    wide_stage w u.c.fast ~distinct:u.distinct ~emit:stop 0
+    w
+
+  let holds_wide u ~n ~live ~rel ~src ~dst ~color =
+    let w = bind_wide u ~n ~live ~rel ~src ~dst ~color in
+    wide_stage w u.c.fast ~distinct:u.distinct ~emit:stop ~root:live 0
+
+  let touches_wide u ~n ~live ~rel ~src ~dst ~color ~touched =
+    u.c.m = 0
+    || exists_rooted_wide
+         (bind_wide u ~n ~live ~rel ~src ~dst ~color)
+         u.c.roots ~distinct:u.distinct ~root:touched 0
 
   let find_wide u ~n ~live ~rel ~src ~dst ~color =
-    if holds_wide u ~n ~live ~rel ~src ~dst ~color then
-      Some (Array.copy u.p.assignment)
+    if holds_wide u ~n ~live ~rel ~src ~dst ~color then Some (found u)
     else None
 end

@@ -29,7 +29,16 @@
     the same order as the staged search, so it stops at the same first
     match, and {!Masked.find} returns the same assignment (and [Pmon]
     the same witness) as the staged search would. A run query on this
-    path allocates nothing. The original backtracking interpreter is kept verbatim as the
+    path allocates nothing.
+
+    [compile] also builds one {e rooted} plan per variable [v]: [v]
+    first, then the fast order without [v] (the plan rooted at the fast
+    order's first variable is the fast plan itself). A rooted search
+    whose first stage is narrowed to a few slots finds exactly the
+    matches that put [v] on one of them. {!Masked.touches} runs them
+    all over the slots the monitor's latest event touched.
+
+    The original backtracking interpreter is kept verbatim as the
     differential reference ([*_ref]); the two agree byte-for-byte (see
     test/test_eval_fast.ml). *)
 
@@ -128,7 +137,27 @@ module Masked : sig
       the fast plan's order, if any: the least satisfying assignment
       when slots are compared variable by variable in the plan's order.
       For two variables that order is pinned against a brute-force
-      oracle in test/test_eval_fast.ml. *)
+      oracle in test/test_eval_fast.ml. The empty predicate (no
+      variables) matches everywhere, with the empty assignment. *)
+
+  val touches :
+    matcher ->
+    n:int ->
+    live:int ->
+    masks:int array ->
+    src:int array ->
+    dst:int array ->
+    color:int array ->
+    touched:int ->
+    bool
+  (** Is there a satisfying assignment that puts some variable on a
+      slot of [touched]? One rooted plan per variable, each with its
+      first stage's candidates narrowed to [touched]; two-variable
+      plans take the flat pair loop. Always [true] for the empty
+      predicate. With [touched] = {!Mo_order.Monitor.Packed.touched}
+      and no match before the event, this is exactly "is there a match
+      now", at a fraction of {!holds}' cost ({!Pmon} runs {!find} only
+      when it says yes). Allocates nothing. *)
 
   val holds_wide :
     matcher ->
@@ -144,6 +173,20 @@ module Masked : sig
       filtering, set operations instead of word ops. The matcher keeps
       the search's scratch, built at its first wide query and again
       only when [n] changes, so a query allocates nothing. *)
+
+  val touches_wide :
+    matcher ->
+    n:int ->
+    live:Mo_order.Bitset.t ->
+    rel:Mo_order.Bitset.t array ->
+    src:int array ->
+    dst:int array ->
+    color:int array ->
+    touched:Mo_order.Bitset.t ->
+    bool
+  (** {!touches} over the Bitset rows of a wide monitor, with
+      [touched] = {!Mo_order.Monitor.Wide.touched}. Allocates nothing
+      once the matcher's wide scratch is built. *)
 
   val find_wide :
     matcher ->

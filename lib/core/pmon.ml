@@ -25,7 +25,12 @@ let verdict t = t.verdict
 
 let monitor t = t.mon
 
-(* evaluate the predicate over the frontier; the first match is final *)
+(* evaluate the predicate over the frontier; the first match is final.
+   Before it, no match existed after the previous event, and the
+   must-relation has since only grown (retirement only drops slots), so
+   a match now must use an edge this event added, hence put a variable
+   on a slot it touched: the full search runs only when such a match
+   exists, which is once per monitor at most. *)
 let check t =
   (match t.verdict with
   | Some _ -> ()
@@ -35,14 +40,25 @@ let check t =
         match Monitor.rep mon with
         | Monitor.P p ->
             let open Monitor.Packed in
-            Eval.Masked.find t.matcher ~n:(window p) ~live:(live p)
-              ~masks:(masks p) ~src:(slot_src p) ~dst:(slot_dst p)
-              ~color:(slot_color p)
+            let n = window p and live = live p and masks = masks p in
+            let src = slot_src p and dst = slot_dst p in
+            let color = slot_color p in
+            if
+              Eval.Masked.touches t.matcher ~n ~live ~masks ~src ~dst ~color
+                ~touched:(touched p)
+            then Eval.Masked.find t.matcher ~n ~live ~masks ~src ~dst ~color
+            else None
         | Monitor.W w ->
             let open Monitor.Wide in
-            Eval.Masked.find_wide t.matcher ~n:(window w) ~live:(live w)
-              ~rel:(rel w) ~src:(slot_src w) ~dst:(slot_dst w)
-              ~color:(slot_color w)
+            let n = window w and live = live w and rel = rel w in
+            let src = slot_src w and dst = slot_dst w in
+            let color = slot_color w in
+            if
+              Eval.Masked.touches_wide t.matcher ~n ~live ~rel ~src ~dst
+                ~color ~touched:(touched w)
+            then
+              Eval.Masked.find_wide t.matcher ~n ~live ~rel ~src ~dst ~color
+            else None
       with
       | None -> ()
       | Some a ->

@@ -16,6 +16,15 @@
     information-theoretic earliest detection (which is not computable in
     bounded memory).
 
+    The search after each event is incremental: until the verdict is
+    set, a match that is new at an event must use a must-edge that event
+    added, so it puts some variable on a slot the event {e touched}
+    ({!Mo_order.Monitor.Packed.touched}). [Pmon] first asks
+    {!Eval.Masked.touches} whether such a match exists and runs the full
+    search ({!Eval.Masked.find}) only when it does — at most once per
+    monitor, as the verdict is sticky. Verdicts, event indices and
+    witnesses are those of a full search after every event.
+
     Monitors are single-threaded values; shard by ordering key and give
     each key its own monitor (see [Mo_workload.Stream]). The [compiled]
     plan is immutable and safely shared across all of them. *)

@@ -15,7 +15,13 @@
    send, so j's delivery can reconstruct the send's past without
    history. pend_to.(p) tracks slots pending delivery at p: whenever
    p's past grows, the new events gain must-edges into those virtual
-   deliveries. *)
+   deliveries.
+
+   Each event also records the slots it touched: at least one endpoint
+   of every edge it added. A send touches its own slot, whose rows and
+   column carry every new edge; a delivery at q touches every slot
+   pending at q, itself included, since the edges it adds into the
+   other pending deliveries at q need not touch the delivered slot. *)
 
 let max_window = 62
 let max_wide_window = 4096
@@ -80,6 +86,7 @@ module Packed = struct
     pend_to : int array; (* per process: pending slots addressed to it *)
     retire_q : Ring.t; (* delivered slots, delivery order *)
     mutable live : int;
+    mutable touched : int; (* slots the latest event touched *)
     mutable events : int;
     mutable retired : int;
   }
@@ -101,6 +108,7 @@ module Packed = struct
       pend_to = Array.make nprocs 0;
       retire_q = Ring.create window;
       live = 0;
+      touched = 0;
       events = 0;
       retired = 0;
     }
@@ -209,6 +217,7 @@ module Packed = struct
     t.past_s.(src) <- ps lor bj;
     t.pend_to.(dst) <- t.pend_to.(dst) lor bj;
     t.live <- t.live lor bj;
+    t.touched <- bj;
     t.events <- t.events + 1
 
   let deliver t ~msg =
@@ -240,6 +249,7 @@ module Packed = struct
       or_rows m (rr_t * w) p dr);
     t.past_s.(q) <- es;
     t.past_r.(q) <- er lor bj;
+    t.touched <- t.pend_to.(q);
     t.pend_to.(q) <- t.pend_to.(q) land lnot bj;
     t.delivered.(0) <- t.delivered.(0) lor bj;
     Ring.push t.retire_q j;
@@ -260,6 +270,7 @@ module Packed = struct
 
   let window t = t.window
   let live t = t.live
+  let touched t = t.touched
   let masks t = t.masks
   let slot_src t = t.slot_src
   let slot_dst t = t.slot_dst
@@ -292,6 +303,7 @@ module Wide = struct
     pend_to : Bitset.t array;
     retire_q : Ring.t;
     live : Bitset.t;
+    touched : Bitset.t; (* slots the latest event touched *)
     mutable events : int;
     mutable retired : int;
     empty : Bitset.t; (* constant, for clearing rows *)
@@ -326,6 +338,7 @@ module Wide = struct
       pend_to = Array.init nprocs (fun _ -> bs ());
       retire_q = Ring.create window;
       live = bs ();
+      touched = bs ();
       events = 0;
       retired = 0;
       empty = bs ();
@@ -475,6 +488,8 @@ module Wide = struct
     Bitset.add t.past_s.(src) j;
     Bitset.add t.pend_to.(dst) j;
     Bitset.add t.live j;
+    Bitset.copy_into ~dst:t.touched t.empty;
+    Bitset.add t.touched j;
     t.events <- t.events + 1
 
   let deliver t ~msg =
@@ -520,6 +535,7 @@ module Wide = struct
     Bitset.copy_into ~dst:t.past_s.(q) es;
     Bitset.copy_into ~dst:t.past_r.(q) er;
     Bitset.add t.past_r.(q) j;
+    Bitset.copy_into ~dst:t.touched t.pend_to.(q);
     Bitset.remove t.pend_to.(q) j;
     Bitset.add t.delivered j;
     Ring.push t.retire_q j;
@@ -543,6 +559,7 @@ module Wide = struct
 
   let window t = t.window
   let live t = t.live
+  let touched t = t.touched
   let rel t = t.rel
   let slot_src t = t.slot_src
   let slot_dst t = t.slot_dst

@@ -121,6 +121,17 @@ module Packed : sig
   val live : t -> int
   (** Bit mask of occupied slots. *)
 
+  val touched : t -> int
+  (** Bit mask of the slots the latest event touched: every must-edge
+      that event added has at least one endpoint among them. A send
+      touches its own slot (a slot it reuses after retirement
+      included); a delivery at [q] touches every slot that was pending
+      at [q], the delivered one included, because its edges into the
+      other pending deliveries at [q] need not touch the delivered
+      slot. A match that is new at an event therefore puts some
+      variable on a touched slot ([Mo_core.Pmon] relies on this).
+      [0] before the first event; one int written per event. *)
+
   val masks : t -> int array
   (** The eight must-relation sections over slots, row [x] of relation
       [k] at index [k * window + x], in the {!Run.Abstract.masks} order
@@ -138,6 +149,10 @@ module Wide : sig
 
   val live : t -> Bitset.t
   (** Occupied slots. *)
+
+  val touched : t -> Bitset.t
+  (** {!Packed.touched} as a set, owned by the monitor and rewritten in
+      place by every event. *)
 
   val rel : t -> Bitset.t array
   (** The eight must-relation sections as Bitset rows, indexed exactly

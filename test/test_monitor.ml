@@ -17,7 +17,12 @@
    - bounded frontier: with retirement active (window < messages) the
      resident bytes are a constant of the window, independent of stream
      length, and a violation planted deep into a long stream is still
-     caught at its exact event index. *)
+     caught at its exact event index.
+   - delta matching: Pmon searches only for matches that use a slot the
+     latest event touched; it must give, event by event, the verdict of
+     a reference monitor that runs the full search after every event,
+     and every relation bit an event sets must have its row or column
+     slot among the touched ones. *)
 
 open Mo_core
 open Mo_order
@@ -576,6 +581,244 @@ let test_id_reuse_and_errors () =
       check_int (name ^ ": events") 8 (Monitor.events t))
     reps
 
+(* ---- delta matching --------------------------------------------- *)
+
+(* the monitor before delta matching: the full search after every
+   event, the first match final *)
+module Full = struct
+  type t = {
+    mon : Monitor.t;
+    matcher : Eval.Masked.matcher;
+    mutable verdict : Pmon.verdict option;
+  }
+
+  let create ~window ~distinct ~nprocs plan =
+    {
+      mon = Monitor.create ~window ~nprocs ();
+      matcher = Eval.Masked.make ~distinct plan;
+      verdict = None;
+    }
+
+  let check t =
+    if t.verdict = None then
+      let found =
+        match Monitor.rep t.mon with
+        | Monitor.P p ->
+            let open Monitor.Packed in
+            Eval.Masked.find t.matcher ~n:(window p) ~live:(live p)
+              ~masks:(masks p) ~src:(slot_src p) ~dst:(slot_dst p)
+              ~color:(slot_color p)
+        | Monitor.W w ->
+            let open Monitor.Wide in
+            Eval.Masked.find_wide t.matcher ~n:(window w) ~live:(live w)
+              ~rel:(rel w) ~src:(slot_src w) ~dst:(slot_dst w)
+              ~color:(slot_color w)
+      in
+      Option.iter
+        (fun a ->
+          t.verdict <-
+            Some
+              {
+                Pmon.at = Monitor.events t.mon - 1;
+                witness = Array.map (Monitor.slot_msg t.mon) a;
+              })
+        found
+end
+
+let delta_windows = [ 4; 16; 62; 100 ]
+let delta_nprocs = 3
+
+(* [f ~what ~window evs] over key streams at every window, disorder
+   and seed, each long enough to retire slots at its window, with the
+   in-flight bound within it *)
+let each_stream f =
+  List.iter
+    (fun window ->
+      List.iter
+        (fun disorder ->
+          List.iter
+            (fun seed ->
+              let profile =
+                {
+                  Stream.nprocs = delta_nprocs;
+                  nmsgs = window + 20;
+                  inflight = min 6 window;
+                  disorder;
+                }
+              in
+              f
+                ~what:
+                  (Printf.sprintf "window %d, disorder %g, seed %d" window
+                     disorder seed)
+                ~window
+                (Stream.key_events profile ~seed ~key:window))
+            [ 1; 2 ])
+        [ 0.; 0.05; 0.3 ])
+    delta_windows
+
+(* delivering 1 at process 1 puts 0.s in 1's past, so 0.s ▷ 2.r holds
+   for the message 2 still pending there: the crown {2, 0} is new at
+   event 4, yet neither of its messages is the delivered one. Random
+   key streams seldom make such a match the first one. *)
+let relay_trace =
+  Stream.
+    [
+      Send { msg = 0; src = 0; dst = 2 };
+      Send { msg = 1; src = 0; dst = 1 };
+      Send { msg = 2; src = 2; dst = 1 };
+      Deliver { msg = 0 };
+      Deliver { msg = 1 };
+    ]
+
+let delta_plans =
+  List.map (fun (e : Catalog.entry) -> (e.Catalog.name, e.Catalog.pred))
+    Catalog.all
+  @ List.init 12 (fun seed ->
+        ( Printf.sprintf "random %d" seed,
+          Random_pred.guarded_predicate ~max_vars:5 ~seed () ))
+  @ [ ("empty", Forbidden.make ~nvars:0 []) ]
+  |> List.map (fun (name, p) -> (name, Eval.compile p))
+
+(* on a clean stream at the wide window, the full search for these
+   enumerates every causal chain of 4 (5) sends among 100 resident
+   slots after every event: about 2 s (43 s) a stream. The nightly tier
+   (MO_MONITOR_DEEP) runs them there too. *)
+let delta_slow_wide = [ "k-weaker-causal-2"; "k-weaker-causal-3" ]
+
+let show_verdict = function
+  | None -> "none"
+  | Some (v : Pmon.verdict) ->
+      Printf.sprintf "%d with [%s]" v.Pmon.at
+        (String.concat ","
+           (List.map string_of_int (Array.to_list v.Pmon.witness)))
+
+(* Pmon and the full-search monitor over one stream, every send
+   colored so [color(x) = c] guards can hold: the same verdict after
+   every event, for every predicate, distinct and not *)
+let delta_agrees ~what ~window evs =
+  let agree name plan distinct =
+    let d = Pmon.create ~window ~distinct ~nprocs:delta_nprocs plan in
+    let f = Full.create ~window ~distinct ~nprocs:delta_nprocs plan in
+    List.iteri
+      (fun i ev ->
+        let got =
+          match ev with
+          | Stream.Send { msg; src; dst } ->
+              let color = msg mod 3 in
+              Monitor.send f.Full.mon ~msg ~src ~dst ~color ();
+              Pmon.send d ~msg ~src ~dst ~color ()
+          | Stream.Deliver { msg } ->
+              Monitor.deliver f.Full.mon ~msg;
+              Pmon.deliver d ~msg
+        in
+        Full.check f;
+        if got <> f.Full.verdict then
+          Alcotest.failf "%s, %s, distinct %b, event %d: delta %s, full %s"
+            name what distinct i (show_verdict got)
+            (show_verdict f.Full.verdict))
+      evs
+  in
+  List.iter
+    (fun (name, plan) ->
+      if
+        deep || window <= Monitor.max_window
+        || not (List.mem name delta_slow_wide)
+      then List.iter (agree name plan) [ true; false ])
+    delta_plans
+
+let test_delta_equals_full () =
+  List.iter
+    (fun window ->
+      delta_agrees
+        ~what:(Printf.sprintf "relay trace, window %d" window)
+        ~window relay_trace)
+    delta_windows;
+  each_stream delta_agrees
+
+(* the relay trace's verdict itself, packed and wide *)
+let test_delta_other_pending () =
+  let crown = Eval.compile (Catalog.sync_crown 2).Catalog.pred in
+  List.iter
+    (fun window ->
+      let t = Pmon.create ~window ~nprocs:delta_nprocs crown in
+      let verdicts =
+        List.map
+          (function
+            | Stream.Send { msg; src; dst } -> Pmon.send t ~msg ~src ~dst ()
+            | Stream.Deliver { msg } -> Pmon.deliver t ~msg)
+          relay_trace
+      in
+      check_bool "clean before the delivery of 1" true
+        (List.filteri (fun i _ -> i < 4) verdicts
+        = [ None; None; None; None ]);
+      match Pmon.verdict t with
+      | Some v ->
+          check_int "at the delivery of 1" 4 v.Pmon.at;
+          check_bool "witness {2, 0}" true
+            (Array.to_list v.Pmon.witness = [ 2; 0 ])
+      | None -> Alcotest.failf "window %d: the crown {2, 0} missed" window)
+    [ 16; 100 ]
+
+(* feed [ev] to [m]; the first relation bit it set whose row slot and
+   column slot are both untouched, as (row index, column), if any *)
+let untouched_bit m ev =
+  let feed () =
+    match ev with
+    | Stream.Send { msg; src; dst } -> Monitor.send m ~msg ~src ~dst ()
+    | Stream.Deliver { msg } -> Monitor.deliver m ~msg
+  in
+  let first rows fresh =
+    let rec go r =
+      if r = Array.length rows then None
+      else
+        match fresh r rows.(r) with
+        | Some y -> Some (r, y)
+        | None -> go (r + 1)
+    in
+    go 0
+  in
+  let w = Monitor.window m in
+  match Monitor.rep m with
+  | Monitor.P p ->
+      let before = Array.copy (Monitor.Packed.masks p) in
+      feed ();
+      let t = Monitor.Packed.touched p in
+      first (Monitor.Packed.masks p) (fun r row ->
+          let fresh = row land lnot before.(r) land lnot t in
+          if t land (1 lsl (r mod w)) <> 0 || fresh = 0 then None
+          else Some (Bitset.lowest_bit fresh))
+  | Monitor.W wm ->
+      let before = Array.map Bitset.copy (Monitor.Wide.rel wm) in
+      feed ();
+      let t = Monitor.Wide.touched wm in
+      first (Monitor.Wide.rel wm) (fun r row ->
+          let fresh = Bitset.copy row in
+          Bitset.diff_into ~dst:fresh before.(r);
+          Bitset.diff_into ~dst:fresh t;
+          if Bitset.mem t (r mod w) || Bitset.is_empty fresh then None
+          else Some (Bitset.next fresh 0))
+
+(* after every event, every newly set bit of the eight sections has its
+   row slot or its column slot among the touched ones *)
+let test_touched_sound () =
+  List.iter
+    (fun wide ->
+      each_stream (fun ~what ~window evs ->
+          let m = Monitor.create ~window ~wide ~nprocs:delta_nprocs () in
+          List.iteri
+            (fun i ev ->
+              Option.iter
+                (fun (r, y) ->
+                  Alcotest.failf
+                    "%s%s, event %d: section %d bit %d.%d is new and \
+                     untouched"
+                    what
+                    (if Monitor.is_wide m then ", wide" else "")
+                    i (r / window) (r mod window) y)
+                (untouched_bit m ev))
+            evs))
+    [ false; true ]
+
 let () =
   Alcotest.run "monitor"
     [
@@ -622,4 +865,13 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_earliest_random ] );
+      ( "delta",
+        [
+          Alcotest.test_case "delta = full search, per event" `Slow
+            test_delta_equals_full;
+          Alcotest.test_case "match through another pending delivery" `Quick
+            test_delta_other_pending;
+          Alcotest.test_case "touched covers every new bit" `Slow
+            test_touched_sound;
+        ] );
     ]

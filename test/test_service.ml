@@ -772,6 +772,21 @@ let test_monitor_op () =
       check_bool "bad trace names the line" true
         (String.length msg > 0 && msg.[0] <> 'i')
   | Ok _ -> Alcotest.fail "malformed trace accepted");
+  (* the empty predicate holds from the first event on, with an empty
+     witness *)
+  (match
+     field "violation"
+       (ok_result
+          (handle t
+             (envelope ~id:6
+                (Codec.Monitor (pred "", "send 0 0 1\ndeliver 0\n", None)))))
+   with
+  | J.Obj fields ->
+      check_bool "empty predicate: at event 0" true
+        (List.assoc "at" fields = J.Int 0);
+      check_bool "empty predicate: empty witness" true
+        (List.assoc "witness" fields = J.List [])
+  | _ -> Alcotest.fail "empty predicate reported null");
   ignore (monitor ~id:5 (trace false));
   check_int "monitor results are uncached" 0
     (Option.value ~default:(-1)
